@@ -57,10 +57,10 @@ lint-transform:
 		exit 1; \
 	fi
 
-# Op metadata (arity, column footprint, barriers, handlers) lives in one
-# registry (pipescript/optable.go) consumed by the parser, executor,
-# analyzer, and DAG scheduler. Fail on any op dispatch switch in the
-# executor sources or any knownOps registration outside the registry.
+# Op metadata (arity, column footprint, shard class, handlers) lives in
+# one registry (pipescript/optable.go) consumed by the parser, executor,
+# and analyzer. Fail on any op dispatch switch in the executor sources
+# or any knownOps registration outside the registry.
 lint-dag:
 	@matches=$$(grep -nE 'switch (st|stmt)\.Op' internal/pipescript/exec.go internal/pipescript/ops_extra.go); \
 	if [ -n "$$matches" ]; then \
@@ -76,11 +76,11 @@ lint-dag:
 	fi
 
 # Elementwise op bodies parallelize only through the row sharder
-# (pipescript/sharder.go): its disjoint-write contract and shared worker
-# budget are what keep results bit-identical and the pool bounded. Fail
-# on raw pool fan-outs or goroutines in op-body/serving sources, and on
-# raw slab views (NumsView/StrsView) in op bodies — a raw slab loop
-# would bypass the ShardView write path.
+# (pipescript/sharder.go): its disjoint-write contract and its fan-out
+# width (the executor's Workers) are what keep results bit-identical and
+# the pool bounded. Fail on raw pool fan-outs or goroutines in
+# op-body/serving sources, and on raw slab views (NumsView/StrsView) in
+# op bodies — a raw slab loop would bypass the ShardView write path.
 lint-shard:
 	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/exec.go internal/pipescript/transform.go); \
 	if [ -n "$$matches" ]; then \
@@ -116,10 +116,10 @@ verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard
 # the pre-optimization baseline blocks in those files are preserved.
 #
 # Two-pass lanes select their pre-optimization baseline pass with
-# BENCH_BASELINE=<lane> (lanes: data, ingest, dag, shard — see
+# BENCH_BASELINE=<lane> (lanes: data, ingest, shard — see
 # internal/bench/baseline; the historical BENCH_DATA_MODE=deep,
-# BENCH_INGEST_MODE=legacy, BENCH_DAG_MODE=serial, and
-# BENCH_SHARD_MODE=serial variables remain supported aliases).
+# BENCH_INGEST_MODE=legacy, and BENCH_SHARD_MODE=serial variables remain
+# supported aliases).
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
@@ -129,7 +129,5 @@ bench:
 	$(GO) test -run='^$$' -bench=Predict -benchtime=300x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
-	BENCH_BASELINE=dag $(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_dag.json
-	$(GO) test -run='^$$' -bench=DAG -benchmem -benchtime=3x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_dag.json
 	BENCH_BASELINE=shard $(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_shard.json
 	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json

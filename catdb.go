@@ -257,25 +257,20 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 // ExecOptions tunes how ExecutePipelineWith and FitPipelineWith run a
 // pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
 type ExecOptions struct {
-	// DAG schedules independent pipeline statements concurrently with
-	// the dependency-DAG scheduler. Results, fitted artifacts, and
-	// errors are bit-identical to linear execution at any worker count;
-	// only wall time changes.
-	DAG bool
-	// Workers bounds the goroutines the DAG scheduler, row sharding,
-	// and the tree/KNN models use (0 = all cores).
+	// Workers bounds the goroutines row sharding and the tree/KNN models
+	// use (0 = all cores). Results are bit-identical at any value.
 	Workers int
 	// ShardRows sets the row-shard chunk size for elementwise op loops:
 	// 0 selects the built-in default, a negative value disables row
 	// sharding (serial loops). Results are bit-identical at any value.
 	ShardRows int
 	// Metrics, when set, records execution counters and latency
-	// histograms (catdb_pipescript_*, catdb_dag_*, catdb_shard_*) into
+	// histograms (catdb_pipescript_*, catdb_shard_*) into
 	// the registry — the same registry an ops server serves at /metrics.
 	// Nil disables recording with zero overhead.
 	Metrics *Metrics
-	// TraceSpan, when set, parents the execution's span tree (exec →
-	// dag-segment → dag-wave → dag-node) under an existing span, so live
+	// TraceSpan, when set, parents one "stmt" span per executed
+	// statement (attributes op and line) under an existing span, so live
 	// ops-plane views and the critical-path/flamegraph exporters see
 	// inside pipeline execution. Observation only: results are
 	// bit-identical with or without it.
@@ -289,7 +284,7 @@ func ExecutePipelineWith(source string, train, test *Table, target string, task 
 		return nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		DAG: opts.DAG, Workers: opts.Workers, ShardRows: opts.ShardRows,
+		Workers: opts.Workers, ShardRows: opts.ShardRows,
 		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Execute(prog, train, test)
 }
@@ -324,23 +319,9 @@ func FitPipelineWith(source string, train, test *Table, target string, task Task
 		return nil, nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		DAG: opts.DAG, Workers: opts.Workers, ShardRows: opts.ShardRows,
+		Workers: opts.Workers, ShardRows: opts.ShardRows,
 		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Fit(prog, train, test)
-}
-
-// RenderPipelineDAG renders the dependency-DAG execution plan of a
-// pipeline over the given initial columns: segments of parallel waves
-// separated by serial barriers, with per-statement column dependencies.
-// It is a static preview of what ExecOptions.DAG would schedule;
-// segments whose references cannot be statically resolved are marked
-// serial (they fall back to linear execution at run time).
-func RenderPipelineDAG(source string, cols []string, target string) (string, error) {
-	prog, err := pipescript.Parse(source)
-	if err != nil {
-		return "", err
-	}
-	return pipescript.RenderDAG(prog, cols, target), nil
 }
 
 // Predict applies a fitted-pipeline artifact to a batch of raw rows:

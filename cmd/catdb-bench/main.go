@@ -46,7 +46,6 @@ func main() {
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
 	metricsOut := flag.String("metrics-out", "", "write harness metrics in Prometheus text format to this file")
-	dag := flag.Bool("dag", false, "execute pipelines with the DAG statement scheduler (results are bit-identical; only wall time changes)")
 	shardRows := flag.Int("shard-rows", 0, "row-shard chunk size for elementwise pipeline ops (0 = default, negative = serial; results are bit-identical at any value)")
 	listen := flag.String("listen", "", "serve the live ops plane on this address while experiments run (/metrics, /api/spans, /api/runs, /debug/pprof; results are bit-identical with or without it)")
 	ledgerPath := flag.String("ledger", "", "append one JSONL record per completed run to this persistent run ledger (compare runs with `benchjson -compare`)")
@@ -113,7 +112,7 @@ func main() {
 	cfg := bench.Config{
 		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Workers: *workers, Out: out,
 		Ingest: data.IngestOptions{Workers: *ingestWorkers, ChunkBytes: *chunkBytes},
-		Tracer: tracer, Metrics: metrics, Progress: progressW, DAG: *dag, ShardRows: *shardRows,
+		Tracer: tracer, Metrics: metrics, Progress: progressW, ShardRows: *shardRows,
 		Ledger: ledgerW,
 	}
 

@@ -108,7 +108,6 @@ func RunAblation(cfg Config) (*AblationResult, error) {
 			r.KB = nil
 		}
 		opts := v.opts(seed)
-		opts.DAG = cfg.DAG
 		out, rerr := r.Run(c.ds, opts)
 		if rerr != nil {
 			return runOut{failed: true}, nil

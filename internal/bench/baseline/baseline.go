@@ -6,10 +6,9 @@
 //	BENCH_BASELINE=<lane>
 //
 // where <lane> names the subsystem: "data" (deep-copy gather), "ingest"
-// (serial single-chunk parse), "dag" (linear statement execution), or
-// "shard" (serial elementwise row loops). The historical per-subsystem
-// variables (BENCH_DATA_MODE=deep, BENCH_INGEST_MODE=legacy,
-// BENCH_DAG_MODE=serial, BENCH_SHARD_MODE=serial) remain supported as
+// (serial single-chunk parse), or "shard" (serial elementwise row
+// loops). The historical per-subsystem variables (BENCH_DATA_MODE=deep,
+// BENCH_INGEST_MODE=legacy, BENCH_SHARD_MODE=serial) remain supported as
 // aliases so existing invocations keep working.
 //
 // The package is a leaf (it imports only os) so bench files anywhere —

@@ -72,7 +72,7 @@ func RunFig10MetadataImpact(cfg Config) (*Fig10Result, error) {
 			combo := combo
 			cells = append(cells, func(sp *obs.Span) (Fig10Row, error) {
 				return runCell(sp, ds, fmt.Sprintf("#%d", combo), model, cfg.Seed+int64(combo),
-					core.Options{Seed: cfg.Seed, Combo: combo, MetadataOnly: true, NoRefine: true, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+					core.Options{Seed: cfg.Seed, Combo: combo, MetadataOnly: true, NoRefine: true, ExecShardRows: cfg.ShardRows})
 			})
 		}
 		// CatDB and CatDB Chain.
@@ -83,7 +83,7 @@ func RunFig10MetadataImpact(cfg Config) (*Fig10Result, error) {
 			variant := variant
 			cells = append(cells, func(sp *obs.Span) (Fig10Row, error) {
 				return runCell(sp, ds, variant.label, model, cfg.Seed+100+int64(variant.chains),
-					core.Options{Seed: cfg.Seed, Chains: variant.chains, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+					core.Options{Seed: cfg.Seed, Chains: variant.chains, ExecShardRows: cfg.ShardRows})
 			})
 		}
 	}
@@ -105,7 +105,7 @@ func RunFig10MetadataImpact(cfg Config) (*Fig10Result, error) {
 				cells = append(cells, func(sp *obs.Span) (Fig10Row, error) {
 					row, err := runCell(sp, wide, fmt.Sprintf("TopK=%d/%s", k, variant.label),
 						"llama3.1-70b", cfg.Seed+int64(k),
-						core.Options{Seed: cfg.Seed, TopK: k, Chains: variant.chains, NoRefine: true, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+						core.Options{Seed: cfg.Seed, TopK: k, Chains: variant.chains, NoRefine: true, ExecShardRows: cfg.ShardRows})
 					row.Dataset = "KDD98"
 					return row, err
 				})

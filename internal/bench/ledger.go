@@ -21,7 +21,7 @@ func (c Config) ledgerRecord(opts core.Options, res *core.Result) ledger.Record 
 			fmt.Sprint(c.Scale),
 			fmt.Sprint(opts.Seed), fmt.Sprint(opts.Combo), fmt.Sprint(opts.MetadataOnly),
 			fmt.Sprint(opts.TopK), fmt.Sprint(opts.Chains), fmt.Sprint(opts.NoRefine),
-			fmt.Sprint(opts.DAG), fmt.Sprint(opts.ExecShardRows),
+			fmt.Sprint(opts.ExecShardRows),
 		),
 		Dataset: res.Dataset,
 		Model:   res.Model,

@@ -68,7 +68,7 @@ func RunTable2ErrorTraces(cfg Config) (*Table2Result, error) {
 		r.Traces = errkb.NewTraceStore()
 		// NoRefine keeps the runs cheap; refinement does not change the
 		// generation-error profile.
-		if _, err := r.Run(c.ds, core.Options{Seed: cfg.Seed + int64(c.iter), NoRefine: true, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows}); err != nil {
+		if _, err := r.Run(c.ds, core.Options{Seed: cfg.Seed + int64(c.iter), NoRefine: true, ExecShardRows: cfg.ShardRows}); err != nil {
 			return nil, err
 		}
 		return r.Traces, nil

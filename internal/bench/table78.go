@@ -108,7 +108,7 @@ func RunTable7SingleIteration(cfg Config) (*Table7Result, error) {
 					r := core.NewRunner(client)
 					r.ProfileCache = cfg.ProfileCache
 					cfg.instrument(r, sp)
-					out, rerr := r.Run(p.ds, core.Options{Seed: cfg.Seed, Chains: v.chains, DAG: cfg.DAG, ExecShardRows: cfg.ShardRows})
+					out, rerr := r.Run(p.ds, core.Options{Seed: cfg.Seed, Chains: v.chains, ExecShardRows: cfg.ShardRows})
 					row := Table7Row{Dataset: name, Model: model, System: v.label}
 					if rerr != nil {
 						row.Failed, row.Reason = true, rerr.Error()

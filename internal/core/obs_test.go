@@ -47,10 +47,9 @@ func TestTracedRunBitIdentical(t *testing.T) {
 // full live ops plane: one arm runs bare, the other runs with tracer,
 // metrics, a sampling runtime collector, AND an attached debug HTTP
 // server being actively scraped (/metrics, /api/spans,
-// /api/critical-path) while the run is in flight. DAG scheduling is on
-// in both arms so the executor's dag-wave/dag-node span emission is
-// exercised under concurrent snapshots. Everything except wall-clock
-// durations must match exactly.
+// /api/critical-path) while the run is in flight, so the executor's
+// per-statement span emission is exercised under concurrent snapshots.
+// Everything except wall-clock durations must match exactly.
 func TestOpsServerRunBitIdentical(t *testing.T) {
 	ds := loadDS(t, "CMC", 0.5)
 	run := func(ops bool) *Result {
@@ -96,7 +95,7 @@ func TestOpsServerRunBitIdentical(t *testing.T) {
 				_ = srv.Close()
 			}
 		}
-		res, err := r.Run(ds, Options{Seed: 11, NoRefine: true, DAG: true})
+		res, err := r.Run(ds, Options{Seed: 11, NoRefine: true})
 		if cleanup != nil {
 			cleanup()
 		}
@@ -113,8 +112,9 @@ func TestOpsServerRunBitIdentical(t *testing.T) {
 }
 
 // TestTracedRunRecordsSpansAndMetrics sanity-checks that an instrumented
-// run actually produces a span tree rooted at "run" and the headline
-// counters, so the wiring cannot silently regress to all no-ops.
+// run actually produces a span tree rooted at "run" — with per-statement
+// "stmt" spans (op, line) under "exec" — and the headline counters, so
+// the wiring cannot silently regress to all no-ops.
 func TestTracedRunRecordsSpansAndMetrics(t *testing.T) {
 	ds := loadDS(t, "Wifi", 0.5)
 	c, err := llm.New("gemini-1.5-pro", 12)
@@ -132,13 +132,31 @@ func TestTracedRunRecordsSpansAndMetrics(t *testing.T) {
 		t.Fatalf("want a span tree rooted at run, got %d spans", len(spans))
 	}
 	names := map[string]bool{}
+	byID := map[int]obs.SpanData{}
 	for _, s := range spans {
 		names[s.Name] = true
+		byID[s.ID] = s
 	}
-	for _, want := range []string{"profile", "prompt-build", "generate", "final-validate", "exec"} {
+	for _, want := range []string{"profile", "prompt-build", "generate", "final-validate", "exec", "stmt"} {
 		if !names[want] {
 			t.Errorf("missing %q span in %v", want, names)
 		}
+	}
+	stmtsUnderExec := 0
+	for _, s := range spans {
+		if s.Name != "stmt" || byID[s.Parent].Name != "exec" {
+			continue
+		}
+		stmtsUnderExec++
+		if op, _ := s.Attrs["op"].(string); op == "" {
+			t.Errorf("stmt span %d has no op attribute: %v", s.ID, s.Attrs)
+		}
+		if line, _ := s.Attrs["line"].(int64); line <= 0 {
+			t.Errorf("stmt span %d has no line attribute: %v", s.ID, s.Attrs)
+		}
+	}
+	if stmtsUnderExec == 0 {
+		t.Error("no stmt spans recorded under exec")
 	}
 	if got := r.Metrics.Counter("catdb_llm_calls_total", "model", "gemini-1.5-pro").Value(); got == 0 {
 		t.Error("catdb_llm_calls_total not recorded")

@@ -77,14 +77,12 @@ type FittedPipeline struct {
 	// Runtime knobs — never serialized. Workers bounds inference
 	// goroutines (0 = GOMAXPROCS, 1 = serial; predictions are identical
 	// at any setting). ShardRows sets the row-shard chunk size for
-	// transform-time elementwise loops (0 = default, negative = serial),
-	// and DAG schedules independent recorded steps as waves; both knobs
-	// leave outputs bit-identical. Metrics, when set, records per-stage
-	// transform latencies and prediction counters; nil disables with
-	// zero overhead.
+	// transform-time elementwise loops (0 = default, negative = serial);
+	// outputs are bit-identical at any value. Metrics, when set, records
+	// per-stage transform latencies and prediction counters; nil
+	// disables with zero overhead.
 	Workers   int           `json:"-"`
 	ShardRows int           `json:"-"`
-	DAG       bool          `json:"-"`
 	Metrics   *obs.Registry `json:"-"`
 
 	// model caches the reconstructed live model across Predict calls.

@@ -60,15 +60,8 @@ type Executor struct {
 	// Workers bounds the goroutines tree ensembles and KNN use for fitting
 	// and batch inference (0 = GOMAXPROCS, 1 = serial). Models derive
 	// per-tree/per-class seeds, so results are identical at any setting.
-	// With DAG set it also bounds concurrent pipeline statements.
+	// It also bounds the width of each row-shard fan-out.
 	Workers int
-	// DAG schedules independent statements (disjoint column footprints
-	// between barriers) concurrently over internal/pool instead of
-	// executing the program linearly. Results, fitted artifacts, and
-	// errors are bit-identical to linear execution at any Workers
-	// setting; statements whose column references cannot be resolved
-	// statically fall back to linear execution automatically.
-	DAG bool
 	// ShardRows caps the rows one shard task covers when elementwise op
 	// loops are split across workers (0 = the 32768 default; negative
 	// disables row sharding). Whether and how a loop shards depends only
@@ -81,12 +74,11 @@ type Executor struct {
 	// codes (catdb_pipescript_*) into the observability registry. Nil
 	// disables recording with zero overhead.
 	Metrics *obs.Registry
-	// Span, when set, parents the DAG scheduler's span tree: one
-	// dag-segment span per parallel segment, dag-wave per Kahn wave,
-	// dag-node per executed statement — the hierarchy the critical-path
-	// and flamegraph exporters attribute wall time over. Spans observe
-	// only; results stay bit-identical with or without them. Nil (the
-	// default) disables recording with zero overhead.
+	// Span, when set, parents one "stmt" span per executed statement
+	// (attributes op and line), so the critical-path and flamegraph
+	// exporters attribute execution wall time to individual statements.
+	// Spans observe only; results stay bit-identical with or without
+	// them. Nil (the default) disables recording with zero overhead.
 	Span *obs.Span
 	// CapturePredictions copies the model's raw test-split outputs into
 	// Result.TestPredictions/TestLabels/TestProba (off by default: the
@@ -97,12 +89,9 @@ type Executor struct {
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
 
-	// Per-execution row-shard state, set by execute: the shared worker
-	// budget (also consumed by the DAG wave scheduler, so waves × shards
-	// never oversubscribe Workers) and the sharder elementwise op loops
-	// fan out through (nil when ShardRows < 0).
-	budget *workerBudget
-	sh     *sharder
+	// sh is the per-execution row sharder elementwise op loops fan out
+	// through, set by execute (nil when ShardRows < 0).
+	sh *sharder
 }
 
 // Execute validates and runs the program on copies of train/test. The
@@ -135,21 +124,21 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 	if maxOH <= 0 {
 		maxOH = 64
 	}
-	e.budget = newWorkerBudget(e.Workers)
-	e.sh = newSharder(e.ShardRows, e.budget, e.Metrics)
-	defer func() { e.budget, e.sh = nil, nil }()
+	e.sh = newSharder(e.ShardRows, e.Workers, e.Metrics)
+	defer func() { e.sh = nil }()
 	res := &Result{Program: p}
 
 	trained := false
-	if e.DAG {
-		if err := e.executeDAG(p, tr, te, maxOH, res, &trained); err != nil {
+	for _, st := range p.Stmts {
+		// Span methods are no-ops on a nil span, so an untraced run
+		// pays nothing here.
+		sp := e.Span.Child("stmt")
+		sp.SetStr("op", st.Op)
+		sp.SetInt("line", int64(st.Line))
+		err := e.execStmt(st, tr, te, maxOH, res, &trained)
+		sp.End()
+		if err != nil {
 			return nil, err
-		}
-	} else {
-		for _, st := range p.Stmts {
-			if err := e.execStmt(st, tr, te, maxOH, res, &trained); err != nil {
-				return nil, err
-			}
 		}
 	}
 	if !trained {
@@ -169,8 +158,7 @@ func lastLine(p *Program) int {
 }
 
 // execStmt dispatches one statement through the registered op table
-// (optable.go). tr/te are the real train/test tables on this path, so
-// every side effect applies immediately.
+// (optable.go). Every side effect applies to tr/te immediately.
 func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool) error {
 	if err := e.policyCheck(st); err != nil {
 		return err

@@ -151,3 +151,23 @@ func TestParseOpsRoundTrip(t *testing.T) {
 		}
 	}
 }
+
+// TestOpTableComplete pins the optable contract: every parseable op is
+// registered with a handler and the parser's arity.
+func TestOpTableComplete(t *testing.T) {
+	if len(knownOps) == 0 || len(knownOps) != len(opRegistry) {
+		t.Fatalf("knownOps (%d) and opRegistry (%d) out of sync", len(knownOps), len(opRegistry))
+	}
+	for name, minArgs := range knownOps {
+		spec := opRegistry[name]
+		if spec == nil {
+			t.Fatalf("op %q parseable but unregistered", name)
+		}
+		if spec.minArgs != minArgs {
+			t.Fatalf("op %q: arity mismatch (%d vs %d)", name, spec.minArgs, minArgs)
+		}
+		if spec.exec == nil {
+			t.Fatalf("op %q has no handler", name)
+		}
+	}
+}

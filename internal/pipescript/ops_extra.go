@@ -14,7 +14,7 @@ import (
 // deduplication, winsorizing, and target encoding. The simulated LLM uses
 // a subset of them; they are also available to hand-written pipelines via
 // the public ExecutePipeline API. Registration (parser arity, column
-// footprints, barrier flags) lives in optable.go with the core set.
+// footprints, sharding classes) lives in optable.go with the core set.
 
 // requireColExtra resolves a column reference in an extended statement
 // (shorter message than the core requireCol, kept for compatibility).

@@ -10,9 +10,8 @@ import (
 )
 
 // shardBenchTable builds a 4-column, rows-row table with injected
-// missing cells: a deep elementwise chain over few columns is the worst
-// case for statement-level DAG parallelism (everything serializes on
-// column dependencies) and the best case for row sharding.
+// missing cells: a deep elementwise chain over few columns is the best
+// case for row sharding.
 func shardBenchTable(rows int) *data.Table {
 	rng := rand.New(rand.NewSource(23))
 	tab := data.NewTable("shardbench")
@@ -38,8 +37,8 @@ func shardBenchTable(rows int) *data.Table {
 
 // BenchmarkShardElementwise measures row-sharded execution of a deep
 // elementwise chain over a 1M-row table. The chain is column-dependent
-// (each op consumes its predecessor's output), so the statement DAG
-// cannot parallelize it — any speedup comes from the row-shard axis.
+// (each op consumes its predecessor's output), so any speedup comes from
+// the row-shard axis.
 //
 // `make bench` runs this twice: BENCH_BASELINE=shard (alias:
 // BENCH_SHARD_MODE=serial) captures the serial row-loop baseline into
@@ -86,9 +85,8 @@ onehot "cat"
 
 // BenchmarkShardBatchScore measures batched serving: one artifact is
 // fitted up front, then each iteration transforms and scores a 500k-row
-// batch through the fitted pipeline. The serial lane disables both the
-// row sharder and the serving step-DAG; the default pass enables both,
-// exercising the two parallelism axes together on the serving path.
+// batch through the fitted pipeline. The serial lane disables the row
+// sharder; the default pass shards at the default chunk size.
 func BenchmarkShardBatchScore(b *testing.B) {
 	const batchRows = 500_000
 	fitTab := shardBenchTable(20_000)
@@ -123,9 +121,9 @@ train model=random_forest target="y" trees=15
 		b.Run(name, func(b *testing.B) {
 			fp.Workers = workers
 			if serial {
-				fp.ShardRows, fp.DAG = -1, false
+				fp.ShardRows = -1
 			} else {
-				fp.ShardRows, fp.DAG = 0, true
+				fp.ShardRows = 0
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"catdb/internal/data"
@@ -20,7 +21,7 @@ var (
 )
 
 // execShardWays runs the program with row sharding disabled (the serial
-// baseline) and then across the full (shardRows, workers, dag) sweep,
+// baseline) and then across the full (shardRows, workers) sweep,
 // requiring bit-identical results and errors everywhere.
 func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table), target string, task data.Task) (*Result, error) {
 	t.Helper()
@@ -28,28 +29,25 @@ func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table
 	tr, te := mk()
 	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, ShardRows: -1, Workers: 1}
 	wantRes, wantErr := base.Execute(p, tr, te)
-	for _, dag := range []bool{false, true} {
-		for _, sr := range shardRowsSweep {
-			for _, w := range shardWorkersSweep {
-				tr, te := mk()
-				ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true,
-					ShardRows: sr, Workers: w, DAG: dag}
-				gotRes, gotErr := ex.Execute(p, tr, te)
-				label := fmt.Sprintf("dag=%v shardRows=%d workers=%d", dag, sr, w)
-				if (wantErr == nil) != (gotErr == nil) {
-					t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+	for _, sr := range shardRowsSweep {
+		for _, w := range shardWorkersSweep {
+			tr, te := mk()
+			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, ShardRows: sr, Workers: w}
+			gotRes, gotErr := ex.Execute(p, tr, te)
+			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
+			if (wantErr == nil) != (gotErr == nil) {
+				t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				if wantErr.Error() != gotErr.Error() {
+					t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
 				}
-				if wantErr != nil {
-					if wantErr.Error() != gotErr.Error() {
-						t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
-					}
-					continue
-				}
-				a, b := *wantRes, *gotRes
-				a.Program, b.Program = nil, nil
-				if !reflect.DeepEqual(a, b) {
-					t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
-				}
+				continue
+			}
+			a, b := *wantRes, *gotRes
+			a.Program, b.Program = nil, nil
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
 			}
 		}
 	}
@@ -153,18 +151,49 @@ train model=naive_bayes target="y"
 }
 
 // Error-carrying pipelines must raise the identical first error (same
-// line, code, message) at any shard setting, sharded or not, DAG or not.
+// line, code, message) at any shard setting, sharded or not.
 func TestShardMatchesSerialErrors(t *testing.T) {
 	for _, src := range []string{
 		"pipeline \"e\"\nimpute \"nope\" strategy=median\ntrain target=\"y\"\n",
 		"pipeline \"e\"\nscale \"cat\"\nscale \"lst\"\ntrain target=\"y\"\n",
 		"pipeline \"e\"\nonehot \"cat\"\nscale \"lst\" method=standard\nkhot \"num\"\ntrain target=\"y\"\n",
+		"pipeline \"e\"\nrequire \"pandas\"\nimpute \"num\"\ntrain target=\"y\"\n",
 		"pipeline \"e\"\ndrop \"y\"\ntrain target=\"y\"\n",
 	} {
 		mk := func() (*data.Table, *data.Table) { return split(messyTable(200, 2), 3) }
 		if _, err := execShardWays(t, src, mk, "y", data.Multiclass); err == nil {
 			t.Fatalf("expected an error from %q", src)
 		}
+	}
+}
+
+// The one-hot feature-cap check must fire with the same error at the
+// same line at any shard setting: the 0.7 split keeps 4200 distinct
+// categories, over the 4096 cap.
+func TestShardMatchesSerialFeatureCap(t *testing.T) {
+	mk := func() (*data.Table, *data.Table) {
+		n := 6000
+		vals := make([]string, n)
+		num := make([]float64, n)
+		y := make([]string, n)
+		for i := range vals {
+			vals[i] = fmt.Sprintf("cat_%04d", i) // all distinct
+			num[i] = float64(i % 7)
+			y[i] = []string{"a", "b"}[i%2]
+		}
+		tab := data.NewTable("cap")
+		tab.MustAddColumn(data.NewString("wide", vals))
+		tab.MustAddColumn(data.NewNumeric("num", num))
+		tab.MustAddColumn(data.NewString("y", y))
+		return split(tab, 1)
+	}
+	_, err := execShardWays(t, `pipeline "cap"
+impute "num" strategy=median
+onehot "wide" max_categories=5000
+train target="y"
+`, mk, "y", data.Binary)
+	if err == nil || !strings.Contains(err.Error(), "would exceed") {
+		t.Fatalf("expected the feature-cap error, got %v", err)
 	}
 }
 
@@ -330,8 +359,8 @@ func TestOpShardClasses(t *testing.T) {
 }
 
 // The serving path: Transform and Predict must be bit-identical across
-// shard settings, worker counts, and the step-DAG toggle.
-func TestServingShardAndDAGIdentical(t *testing.T) {
+// shard settings and worker counts.
+func TestServingShardIdentical(t *testing.T) {
 	src := `pipeline "serve"
 impute "num" strategy=median
 dedup_values "cat"
@@ -350,7 +379,7 @@ train model=random_forest target="y" trees=10
 	batch := messyTable(400, 9)
 	batch.DropColumn("y")
 
-	fp.ShardRows, fp.Workers, fp.DAG = -1, 1, false
+	fp.ShardRows, fp.Workers = -1, 1
 	wantT, err := fp.Transform(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -359,43 +388,40 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, dag := range []bool{false, true} {
-		for _, sr := range shardRowsSweep {
-			for _, w := range shardWorkersSweep {
-				fp.ShardRows, fp.Workers, fp.DAG = sr, w, dag
-				gotT, err := fp.Transform(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				label := fmt.Sprintf("dag=%v shardRows=%d workers=%d", dag, sr, w)
-				if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
-					t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
-				}
-				for _, name := range wantT.ColumnNames() {
-					wc, gc := wantT.Col(name), gotT.Col(name)
-					for i := 0; i < wc.Len(); i++ {
-						if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
-							t.Fatalf("%s: column %q row %d differs (%q vs %q)",
-								label, name, i, wc.ValueString(i), gc.ValueString(i))
-						}
+	for _, sr := range shardRowsSweep {
+		for _, w := range shardWorkersSweep {
+			fp.ShardRows, fp.Workers = sr, w
+			gotT, err := fp.Transform(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
+			if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
+			}
+			for _, name := range wantT.ColumnNames() {
+				wc, gc := wantT.Col(name), gotT.Col(name)
+				for i := 0; i < wc.Len(); i++ {
+					if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
+						t.Fatalf("%s: column %q row %d differs (%q vs %q)",
+							label, name, i, wc.ValueString(i), gc.ValueString(i))
 					}
 				}
-				gotP, err := fp.Predict(batch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !reflect.DeepEqual(wantP, gotP) {
-					t.Fatalf("%s: predictions differ", label)
-				}
+			}
+			gotP, err := fp.Predict(batch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(wantP, gotP) {
+				t.Fatalf("%s: predictions differ", label)
 			}
 		}
 	}
 }
 
-// The serving step-DAG must surface a step failure exactly as the
-// linear loop does (same step index, op, wrapped error), picking the
-// first failing step in step order.
-func TestServingDAGErrorMatchesLinear(t *testing.T) {
+// A serving step failure surfaces as the first failing step in step
+// order (step index, op, wrapped error) at any shard setting.
+func TestServingStepErrorIdentical(t *testing.T) {
 	fp := &FittedPipeline{
 		Version: ArtifactVersion,
 		Steps: []FittedStep{
@@ -408,14 +434,14 @@ func TestServingDAGErrorMatchesLinear(t *testing.T) {
 	tab.MustAddColumn(data.NewNumeric("a", []float64{1, 2}))
 	tab.MustAddColumn(data.NewNumeric("b", []float64{1, 2}))
 	tab.MustAddColumn(data.NewNumeric("c", []float64{1, 2}))
-	fp.DAG = false
-	_, wantErr := fp.Transform(tab)
-	if wantErr == nil {
-		t.Fatal("expected the linear path to fail on the unknown step")
-	}
-	fp.DAG = true
-	_, gotErr := fp.Transform(tab)
-	if gotErr == nil || gotErr.Error() != wantErr.Error() {
-		t.Fatalf("step-DAG error mismatch\nlinear: %v\ndag:    %v", wantErr, gotErr)
+	const want = `pipescript: artifact error [E_STEP_FAILED]: step 1 (no_such_op on "b"): unknown fitted step "no_such_op"`
+	for _, sr := range shardRowsSweep {
+		for _, w := range shardWorkersSweep {
+			fp.ShardRows, fp.Workers = sr, w
+			_, err := fp.Transform(tab)
+			if err == nil || err.Error() != want {
+				t.Fatalf("shardRows=%d workers=%d: got error %v, want %s", sr, w, err, want)
+			}
+		}
 	}
 }

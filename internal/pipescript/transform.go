@@ -123,29 +123,19 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 
 // sharderFor builds the per-call row sharder the serving path uses:
 // the same engine the executor runs, sized by the artifact's runtime
-// knobs. Each call gets a fresh worker budget — serving calls are
-// independent, so there is no cross-call budget to share beyond the
-// pool itself.
+// knobs.
 func (fp *FittedPipeline) sharderFor() *sharder {
-	return newSharder(fp.ShardRows, newWorkerBudget(fp.Workers), fp.Metrics)
+	return newSharder(fp.ShardRows, fp.Workers, fp.Metrics)
 }
 
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
-// never mutated. With DAG set, independent steps run as scheduled
-// waves (transform_dag.go); either way elementwise row loops shard
-// over the pool, and the output is bit-identical to the serial loop.
+// never mutated. Steps apply in recorded order; elementwise row loops
+// shard over the pool, and the output is bit-identical to the serial
+// loop.
 func (fp *FittedPipeline) Transform(t *data.Table) (*data.Table, error) {
 	out := t.Clone()
-	// One budget spans both parallelism axes of this call: step waves
-	// and the row shards nested inside them never oversubscribe Workers.
-	budget := newWorkerBudget(fp.Workers)
-	sh := newSharder(fp.ShardRows, budget, fp.Metrics)
-	if fp.DAG && len(fp.Steps) > 1 {
-		if handled, err := fp.transformDAG(sh, budget, out); handled {
-			return out, err
-		}
-	}
+	sh := fp.sharderFor()
 	for i := range fp.Steps {
 		step := &fp.Steps[i]
 		start := obs.Now()
