@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race verify bench lint-encapsulation lint-obs lint-transform lint-dag lint-shard lint-http
+.PHONY: build vet test race verify bench lint-encapsulation lint-obs lint-transform lint-optable lint-shard lint-http lint-knobs
 
 build:
 	$(GO) build ./...
@@ -61,24 +61,24 @@ lint-transform:
 # one registry (pipescript/optable.go) consumed by the parser, executor,
 # and analyzer. Fail on any op dispatch switch in the executor sources
 # or any knownOps registration outside the registry.
-lint-dag:
+lint-optable:
 	@matches=$$(grep -nE 'switch (st|stmt)\.Op' internal/pipescript/exec.go internal/pipescript/ops_extra.go); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-dag: op dispatch switch outside the op registry (use registerOp):"; \
+		echo "lint-optable: op dispatch switch outside the op registry (use registerOp):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
 	@matches=$$(grep -rnE 'knownOps\[[^]]*\] *=|registerOp\(' --include='*.go' internal/pipescript/ | grep -v 'optable.go'); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-dag: op registration outside internal/pipescript/optable.go:"; \
+		echo "lint-optable: op registration outside internal/pipescript/optable.go:"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
 
 # Elementwise op bodies parallelize only through the row sharder
 # (pipescript/sharder.go): its disjoint-write contract and its fan-out
-# width (the executor's Workers) are what keep results bit-identical and
-# the pool bounded. Fail on raw pool fan-outs or goroutines in
+# width (the GOMAXPROCS-wide pool) are what keep results bit-identical
+# and the pool bounded. Fail on raw pool fan-outs or goroutines in
 # op-body/serving sources, and on raw slab views (NumsView/StrsView) in
 # op bodies — a raw slab loop would bypass the ShardView write path.
 lint-shard:
@@ -109,7 +109,27 @@ lint-http:
 		exit 1; \
 	fi
 
-verify: build vet lint-encapsulation lint-obs lint-transform lint-dag lint-shard lint-http test race
+# GOMAXPROCS is the one concurrency control: internal/pool reads it at
+# every fan-out, and every fan-out is pinned bit-identical at any width,
+# so no layer re-declares a worker count, shard size or chunk size.
+# Fail on a Workers/ShardRows/ChunkBytes struct field or a
+# -workers/-shard-rows/-ingest-workers/-chunk-bytes flag in non-test Go
+# (tests sweep these through in-package seams).
+lint-knobs:
+	@matches=$$(grep -rnE '^[[:space:]]*(Exec)?(Workers|ShardRows|ChunkBytes)[[:space:],]' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-knobs: wall-time knob field (size fan-outs from GOMAXPROCS in internal/pool):"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
+	@matches=$$(grep -rnE '"-{0,2}(workers|shard-rows|ingest-workers|chunk-bytes)"' --include='*.go' --exclude='*_test.go' .); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-knobs: wall-time knob flag (GOMAXPROCS is the one concurrency control):"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
+
+verify: build vet lint-encapsulation lint-obs lint-transform lint-optable lint-shard lint-http lint-knobs test race
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;

@@ -14,6 +14,7 @@ package catdb
 
 import (
 	"io"
+	"runtime"
 	"testing"
 
 	"catdb/internal/bench"
@@ -218,10 +219,9 @@ func BenchmarkFigure14Robustness(b *testing.B) {
 
 // harnessWorkload is the fixed experiment batch the worker-scaling
 // benchmarks run: three runners with many independent cells each.
-func harnessWorkload(b *testing.B, workers int) {
+func harnessWorkload(b *testing.B) {
 	b.Helper()
 	cfg := benchCfg(b)
-	cfg.Workers = workers
 	if _, err := bench.RunFig10MetadataImpact(cfg); err != nil {
 		b.Fatal(err)
 	}
@@ -234,10 +234,12 @@ func harnessWorkload(b *testing.B, workers int) {
 }
 
 // BenchmarkHarnessWorkers1 is the serial baseline of the experiment
-// harness (Workers=1 reproduces the old one-cell-at-a-time loops).
+// harness: runtime.GOMAXPROCS(1) reproduces the old one-cell-at-a-time
+// loops.
 func BenchmarkHarnessWorkers1(b *testing.B) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	for i := 0; i < b.N; i++ {
-		harnessWorkload(b, 1)
+		harnessWorkload(b)
 	}
 }
 
@@ -247,7 +249,7 @@ func BenchmarkHarnessWorkers1(b *testing.B) {
 // runner the two are equivalent by construction).
 func BenchmarkHarnessWorkersMax(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		harnessWorkload(b, 0) // 0 = GOMAXPROCS default
+		harnessWorkload(b)
 	}
 }
 

@@ -78,11 +78,6 @@ func LoadDataset(name string, scale float64) (*Dataset, error) {
 // DatasetNames lists the built-in datasets in Table 3 order.
 func DatasetNames() []string { return data.Names() }
 
-// IngestOptions tunes CSV ingest: Workers bounds the chunk-parse fan-out
-// (0 = GOMAXPROCS, 1 = serial) and ChunkBytes the record-aligned chunk
-// size (0 = 4 MiB). Results are identical at any setting.
-type IngestOptions = data.IngestOptions
-
 // SummaryBackend selects how column statistics are computed:
 // exact (bit-identical full-fidelity path), sketch (mergeable one-pass
 // sketches, no sorted copies), or auto (sketch at scale).
@@ -97,14 +92,10 @@ func ParseSummaryBackend(s string) (SummaryBackend, error) { return data.ParseSu
 func SetDefaultSummaryBackend(b SummaryBackend) { data.SetDefaultSummaryBackend(b) }
 
 // ReadCSV loads a single-table dataset from a CSV stream; target and task
-// describe the prediction problem.
+// describe the prediction problem. The parse fans record-aligned chunks
+// out over GOMAXPROCS goroutines; the table is identical at any setting.
 func ReadCSV(r io.Reader, name, target string, task Task) (*Dataset, error) {
-	return ReadCSVOptions(r, name, target, task, IngestOptions{})
-}
-
-// ReadCSVOptions is ReadCSV with explicit ingest tuning.
-func ReadCSVOptions(r io.Reader, name, target string, task Task, opts IngestOptions) (*Dataset, error) {
-	t, err := data.ReadCSVOptions(r, name, opts)
+	t, err := data.ReadCSV(r, name)
 	if err != nil {
 		return nil, err
 	}
@@ -117,12 +108,7 @@ func ReadCSVOptions(r io.Reader, name, target string, task Task, opts IngestOpti
 
 // ReadCSVFile is ReadCSV over a file path.
 func ReadCSVFile(path, target string, task Task) (*Dataset, error) {
-	return ReadCSVFileOptions(path, target, task, IngestOptions{})
-}
-
-// ReadCSVFileOptions is ReadCSVFile with explicit ingest tuning.
-func ReadCSVFileOptions(path, target string, task Task, opts IngestOptions) (*Dataset, error) {
-	t, err := data.ReadCSVFileOptions(path, opts)
+	t, err := data.ReadCSVFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -218,14 +204,14 @@ type PipGenOutcome struct {
 	Err    error
 }
 
-// ParallelPipGen runs a batch of PipGen jobs on a bounded worker pool and
-// returns the outcomes in job order. Each job gets its own LLM client whose
-// seed is derived deterministically from the job's base seed, position,
-// dataset name, and model, so outcomes are identical at any worker count
-// (workers <= 0 defaults to GOMAXPROCS; workers == 1 runs serially).
-func ParallelPipGen(jobs []PipGenJob, workers int) []PipGenOutcome {
+// ParallelPipGen runs a batch of PipGen jobs on a GOMAXPROCS-wide worker
+// pool and returns the outcomes in job order. Each job gets its own LLM
+// client whose seed is derived deterministically from the job's base
+// seed, position, dataset name, and model, so outcomes are identical at
+// any pool width (GOMAXPROCS=1 runs serially).
+func ParallelPipGen(jobs []PipGenJob) []PipGenOutcome {
 	outs := make([]PipGenOutcome, len(jobs))
-	pool.Each(workers, len(jobs), func(i int) error {
+	pool.Each(len(jobs), func(i int) error {
 		j := jobs[i]
 		if j.Dataset == nil {
 			outs[i].Err = fmt.Errorf("catdb: job %d: nil dataset", i)
@@ -254,16 +240,11 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 	return ExecutePipelineWith(source, train, test, target, task, seed, ExecOptions{})
 }
 
-// ExecOptions tunes how ExecutePipelineWith and FitPipelineWith run a
-// pipeline. The zero value reproduces ExecutePipeline / FitPipeline.
+// ExecOptions attaches observability to ExecutePipelineWith and
+// FitPipelineWith. The zero value reproduces ExecutePipeline /
+// FitPipeline. Row sharding and tree/KNN models use a GOMAXPROCS-wide
+// pool; results are bit-identical at any setting.
 type ExecOptions struct {
-	// Workers bounds the goroutines row sharding and the tree/KNN models
-	// use (0 = all cores). Results are bit-identical at any value.
-	Workers int
-	// ShardRows sets the row-shard chunk size for elementwise op loops:
-	// 0 selects the built-in default, a negative value disables row
-	// sharding (serial loops). Results are bit-identical at any value.
-	ShardRows int
 	// Metrics, when set, records execution counters and latency
 	// histograms (catdb_pipescript_*, catdb_shard_*) into
 	// the registry — the same registry an ops server serves at /metrics.
@@ -277,14 +258,13 @@ type ExecOptions struct {
 	TraceSpan *Span
 }
 
-// ExecutePipelineWith is ExecutePipeline with execution tuning.
+// ExecutePipelineWith is ExecutePipeline with observability attached.
 func ExecutePipelineWith(source string, train, test *Table, target string, task Task, seed int64, opts ExecOptions) (*PipelineResult, error) {
 	prog, err := pipescript.Parse(source)
 	if err != nil {
 		return nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		Workers: opts.Workers, ShardRows: opts.ShardRows,
 		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Execute(prog, train, test)
 }
@@ -311,28 +291,29 @@ func FitPipeline(source string, train, test *Table, target string, task Task, se
 	return FitPipelineWith(source, train, test, target, task, seed, ExecOptions{})
 }
 
-// FitPipelineWith is FitPipeline with execution tuning. The fitted
-// artifact is byte-identical whichever way the pipeline executed.
+// FitPipelineWith is FitPipeline with observability attached. The
+// fitted artifact is byte-identical with or without it.
 func FitPipelineWith(source string, train, test *Table, target string, task Task, seed int64, opts ExecOptions) (*PipelineResult, *FittedPipeline, error) {
 	prog, err := pipescript.Parse(source)
 	if err != nil {
 		return nil, nil, err
 	}
 	ex := &pipescript.Executor{Target: target, Task: task, Seed: seed,
-		Workers: opts.Workers, ShardRows: opts.ShardRows,
 		Metrics: opts.Metrics, Span: opts.TraceSpan}
 	return ex.Fit(prog, train, test)
 }
 
 // Predict applies a fitted-pipeline artifact to a batch of raw rows:
 // recorded preprocessing first, then model inference (512-row chunks,
-// identical output at any Workers setting). The rows need the raw feature
+// identical output at any GOMAXPROCS). The rows need the raw feature
 // columns the pipeline was fitted on — never the target column.
 func Predict(fp *FittedPipeline, rows *Table) (*Predictions, error) {
 	return fp.Predict(rows)
 }
 
-// LoadFittedPipeline reads and version-checks a fitted-pipeline artifact.
+// LoadFittedPipeline reads and version-checks a fitted-pipeline artifact
+// and reconstructs its model; a structurally corrupt model fails here
+// with an *ArtifactError (code E_ARTIFACT_MODEL).
 func LoadFittedPipeline(r io.Reader) (*FittedPipeline, error) {
 	return pipescript.LoadFittedPipeline(r)
 }
@@ -346,9 +327,4 @@ func LoadFittedPipelineFile(path string) (*FittedPipeline, error) {
 // loader for Predict, with no target or task attached.
 func ReadTableCSV(r io.Reader, name string) (*Table, error) {
 	return data.ReadCSV(r, name)
-}
-
-// ReadTableCSVOptions is ReadTableCSV with explicit ingest tuning.
-func ReadTableCSVOptions(r io.Reader, name string, opts IngestOptions) (*Table, error) {
-	return data.ReadCSVOptions(r, name, opts)
 }

@@ -1,6 +1,7 @@
 package catdb
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -51,8 +52,13 @@ func TestParallelPipGenDeterministicAcrossWorkerCounts(t *testing.T) {
 		{Dataset: wifi, Model: "llama3.1-70b", Seed: 2, Options: Options{Seed: 2}},
 		{Dataset: nil, Model: "gpt-4o", Seed: 3}, // must error, not panic
 	}
-	serial := ParallelPipGen(jobs, 1)
-	parallel := ParallelPipGen(jobs, 8)
+	// pipGenAt runs the batch with the pool width (GOMAXPROCS) set to n.
+	pipGenAt := func(n int) []PipGenOutcome {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+		return ParallelPipGen(jobs)
+	}
+	serial := pipGenAt(1)
+	parallel := pipGenAt(8)
 	if len(serial) != len(jobs) || len(parallel) != len(jobs) {
 		t.Fatalf("outcome counts: %d and %d, want %d", len(serial), len(parallel), len(jobs))
 	}

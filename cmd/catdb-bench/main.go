@@ -38,15 +38,11 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	iters := flag.Int("iterations", 10, "iterations for fig11/fig12/table2")
 	fast := flag.Bool("fast", false, "trimmed datasets and iterations")
-	workers := flag.Int("workers", 0, "concurrent experiment cells (0 = GOMAXPROCS, 1 = serial)")
-	ingestWorkers := flag.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	chunkBytes := flag.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
 	summaryBackend := flag.String("summary-backend", "", "column statistics backend: exact|sketch|auto (default exact)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
 	metricsOut := flag.String("metrics-out", "", "write harness metrics in Prometheus text format to this file")
-	shardRows := flag.Int("shard-rows", 0, "row-shard chunk size for elementwise pipeline ops (0 = default, negative = serial; results are bit-identical at any value)")
 	listen := flag.String("listen", "", "serve the live ops plane on this address while experiments run (/metrics, /api/spans, /api/runs, /debug/pprof; results are bit-identical with or without it)")
 	ledgerPath := flag.String("ledger", "", "append one JSONL record per completed run to this persistent run ledger (compare runs with `benchjson -compare`)")
 	flag.Parse()
@@ -110,10 +106,8 @@ func main() {
 	}
 	data.SetDefaultSummaryBackend(backend)
 	cfg := bench.Config{
-		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Workers: *workers, Out: out,
-		Ingest: data.IngestOptions{Workers: *ingestWorkers, ChunkBytes: *chunkBytes},
-		Tracer: tracer, Metrics: metrics, Progress: progressW, ShardRows: *shardRows,
-		Ledger: ledgerW,
+		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Out: out,
+		Tracer: tracer, Metrics: metrics, Progress: progressW, Ledger: ledgerW,
 	}
 
 	experiments := []experiment{

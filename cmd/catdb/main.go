@@ -91,11 +91,10 @@ func startOps(addr string, tracer *catdb.Tracer, metrics *catdb.Metrics) (func()
 	}, nil
 }
 
-// dsFlags bundles the shared dataset-selection and ingest-tuning flags.
+// dsFlags bundles the shared dataset-selection flags.
 type dsFlags struct {
 	dataset, csv, target, task *string
 	scale                      *float64
-	ingestWorkers, chunkBytes  *int
 	summaryBackend             *string
 }
 
@@ -107,8 +106,6 @@ func datasetFlags(fs *flag.FlagSet) *dsFlags {
 	f.target = fs.String("target", "", "target column (required with -csv)")
 	f.task = fs.String("task", "binary", "task type with -csv: binary|multiclass|regression")
 	f.scale = fs.Float64("scale", 0.2, "row-count scale for built-in datasets")
-	f.ingestWorkers = fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	f.chunkBytes = fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB; output identical at any setting)")
 	f.summaryBackend = fs.String("summary-backend", "auto", "column statistics backend: exact|sketch|auto (auto sketches at scale)")
 	return f
 }
@@ -139,11 +136,7 @@ func (f *dsFlags) load() (*catdb.Dataset, error) {
 	default:
 		return nil, fmt.Errorf("unknown task %q", *f.task)
 	}
-	return catdb.ReadCSVFileOptions(*f.csv, *f.target, tk, f.ingest())
-}
-
-func (f *dsFlags) ingest() catdb.IngestOptions {
-	return catdb.IngestOptions{Workers: *f.ingestWorkers, ChunkBytes: *f.chunkBytes}
+	return catdb.ReadCSVFile(*f.csv, *f.target, tk)
 }
 
 func cmdDatasets() error {
@@ -221,7 +214,6 @@ func cmdGenerate(args []string) error {
 	export := fs.String("export", "", "write the generated pipeline to this .pipe file")
 	traceOut := fs.String("trace-out", "", "write the run's span trace to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
 	metricsOut := fs.String("metrics-out", "", "write run metrics in Prometheus text format to this file")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise pipeline ops (0 = default, negative = serial; results are bit-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while generating (/metrics, /api/spans, /debug/pprof; results are bit-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -253,7 +245,7 @@ func cmdGenerate(args []string) error {
 		defer stopOps()
 	}
 	res, err := catdb.PipGenObserved(ds, client, catdb.Options{
-		Seed: *seed, Chains: *chains, TopK: *topK, NoRefine: *noRefine, ExecShardRows: *shardRows,
+		Seed: *seed, Chains: *chains, TopK: *topK, NoRefine: *noRefine,
 	}, tracer, metrics)
 	if werr := writeObsOutputs(tracer, metrics, *traceOut, *metricsOut); werr != nil && err == nil {
 		err = werr
@@ -329,8 +321,6 @@ func cmdRun(args []string) error {
 	seed := fs.Int64("seed", 1, "random seed")
 	refine := fs.Bool("refine", false, "apply catalog refinement before running (use when the pipeline was generated without -no-refine)")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
-	workers := fs.Int("workers", 0, "execution goroutines for row sharding and model fitting (0 = all cores)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise ops (0 = default, negative = serial; results are bit-identical at any value)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -345,8 +335,7 @@ func cmdRun(args []string) error {
 	if err != nil {
 		return err
 	}
-	res, err := catdb.ExecutePipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{Workers: *workers, ShardRows: *shardRows})
+	res, err := catdb.ExecutePipeline(string(src), tr, te, ds.Target, ds.Task, *seed)
 	if err != nil {
 		return err
 	}
@@ -404,8 +393,6 @@ func cmdFit(args []string) error {
 	refine := fs.Bool("refine", false, "apply catalog refinement before fitting")
 	model := fs.String("model", "gemini-1.5-pro", "LLM model for -refine")
 	out := fs.String("out", "model.catdb.json", "fitted-pipeline artifact output path")
-	workers := fs.Int("workers", 0, "execution goroutines for row sharding and model fitting (0 = all cores)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for elementwise ops (0 = default, negative = serial; the artifact is byte-identical at any value)")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while fitting (/metrics, /api/spans, /debug/pprof; the artifact is byte-identical with or without it)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -435,8 +422,7 @@ func cmdFit(args []string) error {
 		return err
 	}
 	res, fp, err := catdb.FitPipelineWith(string(src), tr, te, ds.Target, ds.Task, *seed,
-		catdb.ExecOptions{Workers: *workers, ShardRows: *shardRows,
-			Metrics: metrics, TraceSpan: fitSpan})
+		catdb.ExecOptions{Metrics: metrics, TraceSpan: fitSpan})
 	fitSpan.End()
 	if err != nil {
 		return err
@@ -454,10 +440,6 @@ func cmdPredict(args []string) error {
 	artifact := fs.String("artifact", "", "fitted-pipeline artifact path (required)")
 	csvPath := fs.String("csv", "", "CSV rows to score; '-' reads stdin (required)")
 	proba := fs.Bool("proba", false, "classification: also emit per-class probability columns")
-	workers := fs.Int("workers", 0, "inference and transform goroutines (0 = all cores; output is identical at any setting)")
-	shardRows := fs.Int("shard-rows", 0, "row-shard chunk size for transform-time elementwise loops (0 = default, negative = serial; predictions are identical at any value)")
-	ingestWorkers := fs.Int("ingest-workers", 0, "CSV parse goroutines (0 = all cores, 1 = serial; output identical at any setting)")
-	chunkBytes := fs.Int("chunk-bytes", 0, "CSV ingest chunk size in bytes (0 = 4 MiB)")
 	metricsOut := fs.String("metrics-out", "", "write serving metrics in Prometheus text format to this file")
 	listen := fs.String("listen", "", "serve the live ops plane on this address while scoring (/metrics, /debug/pprof; predictions are identical with or without it)")
 	if err := fs.Parse(args); err != nil {
@@ -473,8 +455,6 @@ func cmdPredict(args []string) error {
 	if err != nil {
 		return err
 	}
-	fp.Workers = *workers
-	fp.ShardRows = *shardRows
 	var metrics *catdb.Metrics
 	if *metricsOut != "" || *listen != "" {
 		metrics = catdb.NewMetrics()
@@ -496,7 +476,7 @@ func cmdPredict(args []string) error {
 		defer f.Close()
 		in = f
 	}
-	tb, err := catdb.ReadTableCSVOptions(in, "batch", catdb.IngestOptions{Workers: *ingestWorkers, ChunkBytes: *chunkBytes})
+	tb, err := catdb.ReadTableCSV(in, "batch")
 	if err != nil {
 		return err
 	}

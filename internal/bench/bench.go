@@ -5,6 +5,12 @@
 // DESIGN.md: row counts are scaled, characteristics are not), so the
 // comparisons preserve the paper's shape rather than its absolute
 // numbers.
+//
+// Every runner fans its independent (dataset, model, iteration) cells
+// over the shared worker pool (GOMAXPROCS wide) and reassembles results
+// in the paper's row order; each cell derives its own LLM client and RNG
+// from the cell identity, so output is bit-for-bit identical at any pool
+// width. GOMAXPROCS=1 reproduces the serial harness.
 package bench
 
 import (
@@ -14,10 +20,8 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"catdb/internal/data"
 	"catdb/internal/obs"
 	"catdb/internal/obs/ledger"
-	"catdb/internal/pool"
 	"catdb/internal/profile"
 )
 
@@ -33,13 +37,6 @@ type Config struct {
 	Iterations int
 	// Fast trims dataset lists and iteration counts for CI runs.
 	Fast bool
-	// Workers bounds how many experiment cells run concurrently (default
-	// GOMAXPROCS). Every runner fans its independent (dataset, model,
-	// iteration) cells over a shared worker pool and reassembles results
-	// in the paper's row order; each cell derives its own LLM client and
-	// RNG from the cell identity, so output is bit-for-bit identical at
-	// any worker count. Workers=1 reproduces the serial harness.
-	Workers int
 	// ProfileCache shares Algorithm 1 profiling across cells: every cell
 	// that loads the same (dataset, scale) at the same seed and options
 	// reuses one computed profile instead of redoing the pass. Defaults to
@@ -47,10 +44,6 @@ type Config struct {
 	// to share across them. Profiles are keyed by table content, so
 	// corrupted/mutated variants never alias (see profile.Cache).
 	ProfileCache *profile.Cache
-	// Ingest tunes CSV ingest wherever experiments parse CSV (chunk-parse
-	// worker count and chunk size) and parameterizes the ingest-scaling
-	// experiment. Results never depend on it — only wall time does.
-	Ingest data.IngestOptions
 	// Out receives the rendered tables (defaults to io.Discard).
 	Out io.Writer
 	// Tracer, when set, records one "bench:<phase>" span per experiment
@@ -68,10 +61,6 @@ type Config struct {
 	// completion order, which is scheduling-dependent; experiment results
 	// remain deterministic.
 	Progress io.Writer
-	// ShardRows sets the pipeline executor's row-shard chunk size for
-	// elementwise op loops (0 = default, negative = serial). Results are
-	// bit-identical at any value.
-	ShardRows int
 	// Ledger, when set, appends one record per completed core.Run —
 	// config hash, stage seconds, token counts, fix counts, and the
 	// final metric snapshot — to the persistent run ledger
@@ -89,9 +78,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Fast && c.Iterations > 3 {
 		c.Iterations = 3
-	}
-	if c.Workers <= 0 {
-		c.Workers = pool.DefaultWorkers()
 	}
 	if c.ProfileCache == nil {
 		c.ProfileCache = profile.NewCache()

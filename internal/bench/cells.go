@@ -19,7 +19,7 @@ import (
 // Result order and error semantics are pool.Map's in both modes.
 func mapCells[T any](cfg Config, phase string, n int, fn func(i int, sp *obs.Span) (T, error)) ([]T, error) {
 	if cfg.Tracer == nil && cfg.Metrics == nil && cfg.Progress == nil {
-		return pool.Map(cfg.Workers, n, func(i int) (T, error) { return fn(i, nil) })
+		return pool.Map(n, func(i int) (T, error) { return fn(i, nil) })
 	}
 	root := cfg.Tracer.Root("bench:" + phase)
 	root.SetInt("cells", int64(n))
@@ -28,7 +28,7 @@ func mapCells[T any](cfg Config, phase string, n int, fn func(i int, sp *obs.Spa
 		mu   sync.Mutex
 		done int
 	)
-	return pool.Map(cfg.Workers, n, func(i int) (T, error) {
+	return pool.Map(n, func(i int) (T, error) {
 		sp := root.Child("cell")
 		sp.SetStr("phase", phase)
 		sp.SetInt("index", int64(i))

@@ -132,7 +132,7 @@ func RunFig11TenIterations(cfg Config) (*Fig11Result, error) {
 						r := core.NewRunner(client)
 						r.ProfileCache = cfg.ProfileCache
 						cfg.instrument(r, sp)
-						out, rerr := r.Run(ds, core.Options{Seed: seed, Chains: v.chains, ExecShardRows: cfg.ShardRows})
+						out, rerr := r.Run(ds, core.Options{Seed: seed, Chains: v.chains})
 						if rerr != nil {
 							c.failed = true
 							return c

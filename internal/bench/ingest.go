@@ -4,21 +4,22 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"time"
 
 	"catdb/internal/data"
-	"catdb/internal/pool"
 )
 
 // IngestRow is one table size's ingest + summary measurement: cold CSV
-// parse serial vs chunked-parallel, and summary build exact vs sketch.
+// parse serial vs chunked-parallel (Procs is the pool width of the
+// parallel parse), and summary build exact vs sketch.
 type IngestRow struct {
 	Rows          int
 	Cols          int
 	Bytes         int
 	Serial        time.Duration
 	Parallel      time.Duration
-	Workers       int
+	Procs         int
 	ExactSummary  time.Duration
 	SketchSummary time.Duration
 }
@@ -52,39 +53,36 @@ func syntheticIngestCSV(rows int, seed int64) []byte {
 	return buf.Bytes()
 }
 
-// RunIngestScaling measures cold CSV ingest (streaming serial vs
-// chunked-parallel at Config.Ingest.Workers) and column-summary builds
-// (exact sorted-copy vs mergeable sketches) over synthetic mixed-kind
-// tables. Cells run serially — this experiment times wall clock, so
-// concurrent cells would contaminate each other.
+// RunIngestScaling measures cold CSV ingest (the same chunked parse
+// under runtime.GOMAXPROCS(1), then at the process's GOMAXPROCS) and
+// column-summary builds (exact sorted-copy vs mergeable sketches) over
+// synthetic mixed-kind tables. Cells run serially — this experiment
+// times wall clock, so concurrent cells would contaminate each other,
+// and the serial arm may narrow the process-wide pool for its duration.
 func RunIngestScaling(cfg Config) (*IngestResult, error) {
 	cfg = cfg.withDefaults()
-	workers := cfg.Ingest.Workers
-	if workers <= 0 {
-		workers = pool.DefaultWorkers()
-	}
+	procs := runtime.GOMAXPROCS(0)
 	res := &IngestResult{}
 	for _, rows := range ingestSizes(cfg) {
 		raw := syntheticIngestCSV(rows, cfg.Seed)
-		row := IngestRow{Rows: rows, Bytes: len(raw), Workers: workers}
+		row := IngestRow{Rows: rows, Bytes: len(raw), Procs: procs}
 
+		runtime.GOMAXPROCS(1)
 		start := time.Now()
-		serialT, err := data.ReadCSVOptions(bytes.NewReader(raw), "ingest-serial",
-			data.IngestOptions{Workers: 1, ChunkBytes: cfg.Ingest.ChunkBytes})
+		_, err := data.ReadCSV(bytes.NewReader(raw), "ingest-serial")
+		row.Serial = time.Since(start)
+		runtime.GOMAXPROCS(procs)
 		if err != nil {
 			return nil, fmt.Errorf("bench: ingest serial: %w", err)
 		}
-		row.Serial = time.Since(start)
 
 		start = time.Now()
-		t, err := data.ReadCSVOptions(bytes.NewReader(raw), "ingest-parallel",
-			data.IngestOptions{Workers: workers, ChunkBytes: cfg.Ingest.ChunkBytes})
+		t, err := data.ReadCSV(bytes.NewReader(raw), "ingest-parallel")
 		if err != nil {
 			return nil, fmt.Errorf("bench: ingest parallel: %w", err)
 		}
 		row.Parallel = time.Since(start)
 		row.Cols = t.NumCols()
-		_ = serialT
 
 		start = time.Now()
 		for _, c := range t.Cols {
@@ -101,7 +99,7 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 		res.Rows = append(res.Rows, row)
 	}
 
-	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", workers), "ExactSum[ms]", "SketchSum[ms]"}}
+	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", procs), "ExactSum[ms]", "SketchSum[ms]"}}
 	for _, r := range res.Rows {
 		tb.add(fmt.Sprint(r.Rows), fmt.Sprint(r.Cols),
 			fmt.Sprintf("%.1f", float64(r.Bytes)/(1<<20)),

@@ -2,20 +2,21 @@ package bench
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 )
 
 // The parallel harness must be invisible in the results: for a fixed seed,
-// any worker count produces exactly the rows the serial loop produced, in
-// the same order. These tests pin that guarantee on experiments whose
+// any pool width (GOMAXPROCS) produces exactly the rows the serial loop
+// produced, in the same order. These tests pin that guarantee on experiments whose
 // rendered reports are time-free (fig10, table2, ablation) and structurally
 // on fig11, whose report includes wall-clock columns.
 
 func renderedAt(t *testing.T, workers int, run func(Config) error) string {
 	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 	var buf bytes.Buffer
 	cfg := fastCfg()
-	cfg.Workers = workers
 	cfg.Out = &buf
 	if err := run(cfg); err != nil {
 		t.Fatal(err)
@@ -47,9 +48,9 @@ func TestParallelMatchesSerialRendered(t *testing.T) {
 
 func TestParallelMatchesSerialFig11(t *testing.T) {
 	runAt := func(workers int) *Fig11Result {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
 		var buf bytes.Buffer
 		cfg := fastCfg()
-		cfg.Workers = workers
 		cfg.Out = &buf
 		res, err := RunFig11TenIterations(cfg)
 		if err != nil {

@@ -61,13 +61,6 @@ type Options struct {
 	// packages raise policy errors that the error-management loop repairs
 	// with allowed alternatives.
 	Policy *pipescript.Policy
-	// ExecWorkers bounds the goroutines the pipeline executor uses for
-	// row sharding and model fitting (0 = all cores).
-	ExecWorkers int
-	// ExecShardRows sets the executor's row-shard chunk size for
-	// elementwise op loops (0 = default, negative = serial loops).
-	// Results are bit-identical at any value.
-	ExecShardRows int
 }
 
 func (o Options) withDefaults() Options {
@@ -296,7 +289,7 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 		esp.End()
 		return nil, fmt.Errorf("core: final pipeline failed to parse after validation: %w", perr)
 	}
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows, Span: esp}
+	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Span: esp}
 	execRes, xerr := ex.Execute(prog, train, test)
 	if xerr != nil {
 		// Full-data failure after sample validation: resume the debug
@@ -414,7 +407,7 @@ func (r *Runner) generateAndFix(pr prompt.Prompt, in prompt.Input, cfg prompt.Co
 	if opts.StaticRepair && !allowNoTrain {
 		source = staticRepair(source, in, ds.Task)
 	}
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, AllowNoTrain: allowNoTrain, Policy: opts.Policy, Metrics: r.Metrics, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows}
+	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, AllowNoTrain: allowNoTrain, Policy: opts.Policy, Metrics: r.Metrics}
 	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
 }
 
@@ -453,7 +446,7 @@ func staticRepair(source string, in prompt.Input, task data.Task) string {
 func (r *Runner) finalValidate(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	vTrain, vTest *data.Table, ds *data.Dataset, res *Result, sp *obs.Span) (string, error) {
 
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows}
+	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics}
 	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
 }
 
@@ -573,7 +566,7 @@ func (r *Runner) resumeOnFullData(source string, firstErr error, in prompt.Input
 	sp := parent.Child("resume-debug")
 	sp.SetStr("cause", errkb.Classify(firstErr).Code)
 	defer sp.End()
-	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Workers: opts.ExecWorkers, ShardRows: opts.ExecShardRows, Span: sp}
+	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Span: sp}
 	dstart := obs.Now()
 	fixed, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
 	genDur := obs.Since(dstart)

@@ -42,24 +42,17 @@ func WriteCSVFile(path string, t *Table) error {
 
 // ReadCSV parses a CSV stream with a header row into a table, inferring the
 // narrowest kind per column (bool, int, float, string). Empty cells become
-// missing values. It is ReadCSVOptions under the default ingest options
-// (parallel chunked parse); output is identical to the historical serial
-// reader.
+// missing values. The stream is slurped once, split into record-aligned
+// byte chunks, and parsed concurrently straight into preallocated typed
+// columns; any input the chunked path cannot handle re-parses through the
+// legacy serial reader, so results and errors are identical to the
+// historical serial reader at any pool width.
 func ReadCSV(r io.Reader, name string) (*Table, error) {
-	return ReadCSVOptions(r, name, IngestOptions{})
-}
-
-// ReadCSVOptions is ReadCSV with explicit ingest tuning. The stream is
-// slurped once, split into record-aligned byte chunks, and parsed
-// concurrently straight into preallocated typed columns; any input the
-// chunked path cannot handle re-parses through the legacy serial reader,
-// so results and errors never depend on Workers or ChunkBytes.
-func ReadCSVOptions(r io.Reader, name string, opts IngestOptions) (*Table, error) {
 	buf, err := slurp(r)
 	if err != nil {
 		return nil, fmt.Errorf("data: read csv %q: %w", name, err)
 	}
-	return parseCSVBytes(buf, name, opts)
+	return parseCSVBytes(buf, name)
 }
 
 // slurp reads r to EOF. When the reader knows its remaining size
@@ -118,14 +111,9 @@ func readCSVLegacy(r io.Reader, name string) (*Table, error) {
 
 // ReadCSVFile reads the CSV file at path into a table named after the file.
 func ReadCSVFile(path string) (*Table, error) {
-	return ReadCSVFileOptions(path, IngestOptions{})
-}
-
-// ReadCSVFileOptions is ReadCSVFile with explicit ingest tuning.
-func ReadCSVFileOptions(path string, opts IngestOptions) (*Table, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("data: %w", err)
 	}
-	return parseCSVBytes(buf, path, opts)
+	return parseCSVBytes(buf, path)
 }

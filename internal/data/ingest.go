@@ -11,30 +11,18 @@ import (
 	"catdb/internal/pool"
 )
 
-// IngestOptions tunes the chunked CSV reader. The zero value is the
-// recommended configuration: parallel parse over GOMAXPROCS workers with
-// 4 MiB chunks.
-type IngestOptions struct {
-	// Workers bounds the chunk-parse fan-out: 0 means GOMAXPROCS, 1 forces
-	// the serial streaming path (same chunking, one goroutine) — the
-	// pool-wide convention.
-	Workers int
-	// ChunkBytes is the target chunk size in bytes; chunks are extended to
-	// the next record boundary so no record straddles two chunks. 0 means
-	// defaultChunkBytes. Output is identical at any chunk size.
-	ChunkBytes int
-}
+// chunkBytes is the target ingest chunk size in bytes; chunks are
+// extended to the next record boundary so no record straddles two
+// chunks. 4 MiB balances scheduling overhead against parse locality: a
+// 1M-row table yields enough chunks to keep a many-core box busy without
+// flooding the pool. Output is identical at any chunk size; it is a
+// variable only so the equivalence tests can sweep it.
+var chunkBytes = 4 << 20
 
-const (
-	// defaultChunkBytes balances scheduling overhead against parse
-	// locality; at 4 MiB a 1M-row table yields enough chunks to keep a
-	// many-core box busy without flooding the pool.
-	defaultChunkBytes = 4 << 20
-	// sniffRecords is how many leading records the mode sniffer inspects
-	// to pick per-column storage (numeric slab vs string slab) before the
-	// parallel parse commits cells directly into preallocated columns.
-	sniffRecords = 512
-)
+// sniffRecords is how many leading records the mode sniffer inspects to
+// pick per-column storage (numeric slab vs string slab) before the
+// parallel parse commits cells directly into preallocated columns.
+const sniffRecords = 512
 
 // errIngestShape signals that a chunk parsed to a different record count
 // than the boundary scanner predicted. It is never surfaced: any chunked
@@ -370,12 +358,12 @@ func (j *ingestJob) parseChunk(ci int) error {
 // the columns whose sniffed slab cannot serve their final kind (e.g. a
 // column that looked numeric for the whole sniff window but holds strings
 // later on). Only the listed columns allocate.
-func (j *ingestJob) rereadColumns(workers int, cols []int, rows int) ([][]string, error) {
+func (j *ingestJob) rereadColumns(cols []int, rows int) ([][]string, error) {
 	raws := make([][]string, j.ncols)
 	for _, col := range cols {
 		raws[col] = make([]string, rows)
 	}
-	err := pool.Each(workers, len(j.spans), func(ci int) error {
+	err := pool.Each(len(j.spans), func(ci int) error {
 		sp := j.spans[ci]
 		cr := csv.NewReader(bytes.NewReader(j.buf[sp.start:sp.end]))
 		cr.ReuseRecord = true
@@ -406,12 +394,12 @@ func (j *ingestJob) rereadColumns(workers int, cols []int, rows int) ([][]string
 	return raws, err
 }
 
-// parseCSVBytes is the chunked ingest entry point: it parses buf under
-// opts and, on any chunked-path failure (csv syntax error, scanner
+// parseCSVBytes is the chunked ingest entry point: it parses buf and,
+// on any chunked-path failure (csv syntax error, scanner
 // disagreement, shape mismatch), re-parses through the legacy serial
 // reader so errors and edge-case behaviour match it exactly.
-func parseCSVBytes(buf []byte, name string, opts IngestOptions) (*Table, error) {
-	t, err := parseCSVChunked(buf, name, opts)
+func parseCSVBytes(buf []byte, name string) (*Table, error) {
+	t, err := parseCSVChunked(buf, name)
 	if err != nil {
 		return readCSVLegacy(bytes.NewReader(buf), name)
 	}
@@ -419,15 +407,11 @@ func parseCSVBytes(buf []byte, name string, opts IngestOptions) (*Table, error) 
 }
 
 // parseCSVChunked performs the scan → sniff → parallel parse → merge
-// pipeline. The output is deterministic in Workers and ChunkBytes by
+// pipeline. The output is deterministic in pool width and chunk size by
 // construction: chunk boundaries depend only on the bytes and chunk
 // size, every chunk writes a disjoint row range, and flag merging is
 // order-independent.
-func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error) {
-	chunkBytes := opts.ChunkBytes
-	if chunkBytes <= 0 {
-		chunkBytes = defaultChunkBytes
-	}
+func parseCSVChunked(buf []byte, name string) (*Table, error) {
 	headerSpan, spans, rows := scanCSVChunks(buf, chunkBytes)
 	if headerSpan.records == 0 {
 		return nil, errIngestShape // empty input; legacy reader owns the message
@@ -442,7 +426,7 @@ func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error
 
 	modes := sniffModes(buf, ncols, spans)
 	job := newIngestJob(buf, ncols, modes, spans, rows)
-	if err := pool.Each(opts.Workers, len(spans), job.parseChunk); err != nil {
+	if err := pool.Each(len(spans), job.parseChunk); err != nil {
 		return nil, err
 	}
 
@@ -472,7 +456,7 @@ func parseCSVChunked(buf []byte, name string, opts IngestOptions) (*Table, error
 
 	var raws [][]string
 	if len(reread) > 0 {
-		raws, err = job.rereadColumns(opts.Workers, reread, rows)
+		raws, err = job.rereadColumns(reread, rows)
 		if err != nil {
 			return nil, err
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"catdb/internal/bench/baseline"
@@ -54,7 +55,12 @@ func ingestBenchCSV(rows int) []byte {
 	return ingestBenchCache[rows]
 }
 
+// benchIngestParse times cold parses of a rows-row table; workers > 0
+// pins the pool width (runtime.GOMAXPROCS) for the benchmark.
 func benchIngestParse(b *testing.B, rows, workers int) {
+	if workers > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+	}
 	raw := ingestBenchCSV(rows)
 	legacy := ingestLegacyMode()
 	b.SetBytes(int64(len(raw)))
@@ -64,7 +70,7 @@ func benchIngestParse(b *testing.B, rows, workers int) {
 		if legacy {
 			_, err = readCSVLegacy(bytes.NewReader(raw), "bench")
 		} else {
-			_, err = ReadCSVOptions(bytes.NewReader(raw), "bench", IngestOptions{Workers: workers})
+			_, err = ReadCSV(bytes.NewReader(raw), "bench")
 		}
 		if err != nil {
 			b.Fatal(err)
@@ -81,7 +87,7 @@ func BenchmarkIngestParallel1M(b *testing.B)   { benchIngestParse(b, ingestBench
 // parsed table. It calls the compute functions directly (not SummaryWith)
 // so the per-column memo cache never hides the work being measured.
 func benchIngestSummary(b *testing.B, rows int, backend SummaryBackend) {
-	t, err := ReadCSVOptions(bytes.NewReader(ingestBenchCSV(rows)), "bench", IngestOptions{})
+	t, err := ReadCSV(bytes.NewReader(ingestBenchCSV(rows)), "bench")
 	if err != nil {
 		b.Fatal(err)
 	}

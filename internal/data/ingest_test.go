@@ -5,22 +5,40 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
 )
 
+// ingestSetting is one point of the pool-width × chunk-size grid; zero
+// fields keep the defaults (GOMAXPROCS, 4 MiB).
+type ingestSetting struct{ workers, chunk int }
+
 // ingestGrid is the worker × chunk-size matrix the equivalence tests sweep.
-// ChunkBytes 1 forces a chunk per record — the maximum-fragmentation stress
+// Chunk size 1 forces a chunk per record — the maximum-fragmentation stress
 // case — while 1<<20 usually keeps the whole input in one chunk.
-var ingestGrid = []IngestOptions{
-	{Workers: 1, ChunkBytes: 1},
-	{Workers: 1, ChunkBytes: 64},
-	{Workers: 2, ChunkBytes: 1},
-	{Workers: 4, ChunkBytes: 7},
-	{Workers: 4, ChunkBytes: 256},
-	{Workers: 8, ChunkBytes: 1 << 20},
-	{Workers: 0, ChunkBytes: 0},
+var ingestGrid = []ingestSetting{
+	{workers: 1, chunk: 1},
+	{workers: 1, chunk: 64},
+	{workers: 2, chunk: 1},
+	{workers: 4, chunk: 7},
+	{workers: 4, chunk: 256},
+	{workers: 8, chunk: 1 << 20},
+	{workers: 0, chunk: 0},
+}
+
+// readCSVAt parses input with the pool width (GOMAXPROCS) and the ingest
+// chunk size set to s for the duration of the call.
+func readCSVAt(input string, s ingestSetting) (*Table, error) {
+	if s.workers > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(s.workers))
+	}
+	if s.chunk > 0 {
+		defer func(old int) { chunkBytes = old }(chunkBytes)
+		chunkBytes = s.chunk
+	}
+	return ReadCSV(strings.NewReader(input), "x")
 }
 
 // requireTablesEqual compares two tables cell-by-cell through the public
@@ -62,9 +80,9 @@ func requireTablesEqual(t *testing.T, want, got *Table, label string) {
 func requireIngestMatchesLegacy(t *testing.T, input, label string) {
 	t.Helper()
 	want, wantErr := readCSVLegacy(strings.NewReader(input), "x")
-	for _, opts := range ingestGrid {
-		tag := fmt.Sprintf("%s w=%d cb=%d", label, opts.Workers, opts.ChunkBytes)
-		got, err := ReadCSVOptions(strings.NewReader(input), "x", opts)
+	for _, s := range ingestGrid {
+		tag := fmt.Sprintf("%s w=%d cb=%d", label, s.workers, s.chunk)
+		got, err := readCSVAt(input, s)
 		if wantErr != nil {
 			if err == nil {
 				t.Fatalf("%s: chunked succeeded, legacy error: %v", tag, wantErr)
@@ -132,8 +150,8 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 	if err := WriteCSV(&wantCSV, want); err != nil {
 		t.Fatalf("%s: rewrite legacy: %v", label, err)
 	}
-	for _, opts := range ingestGrid {
-		got, err := ReadCSVOptions(strings.NewReader(input), "x", opts)
+	for _, s := range ingestGrid {
+		got, err := readCSVAt(input, s)
 		if err != nil {
 			t.Fatalf("%s: %v", label, err)
 		}
@@ -142,7 +160,7 @@ func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 			t.Fatalf("%s: rewrite chunked: %v", label, err)
 		}
 		if !bytes.Equal(wantCSV.Bytes(), gotCSV.Bytes()) {
-			t.Fatalf("%s w=%d cb=%d: re-rendered CSV differs", label, opts.Workers, opts.ChunkBytes)
+			t.Fatalf("%s w=%d cb=%d: re-rendered CSV differs", label, s.workers, s.chunk)
 		}
 	}
 }
@@ -253,7 +271,7 @@ func TestIngestEquivalenceProperty(t *testing.T) {
 			return false
 		}
 		for _, cb := range []int{1, 3 + rng.Intn(100), 1 << 16} {
-			got, err := ReadCSVOptions(strings.NewReader(input), "x", IngestOptions{Workers: 1 + rng.Intn(4), ChunkBytes: cb})
+			got, err := readCSVAt(input, ingestSetting{workers: 1 + rng.Intn(4), chunk: cb})
 			if err != nil {
 				return false
 			}
@@ -307,7 +325,7 @@ func TestIngestEmptyInputMessage(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message", err)
 	}
-	_, err = ReadCSVOptions(strings.NewReader("\n\n\n"), "x", IngestOptions{Workers: 4, ChunkBytes: 1})
+	_, err = readCSVAt("\n\n\n", ingestSetting{workers: 4, chunk: 1})
 	if err == nil || !strings.Contains(err.Error(), "empty input") {
 		t.Fatalf("err = %v, want empty-input message for blank-lines input", err)
 	}

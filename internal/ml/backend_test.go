@@ -129,17 +129,20 @@ func TestHistCloseToExactSynthetic(t *testing.T) {
 	}
 }
 
-// workerCounts returns the pinned worker settings of the determinism
-// contract: serial, a fixed small pool, and GOMAXPROCS.
+// workerCounts returns the pinned pool widths of the determinism
+// contract: serial, a fixed small pool, and GOMAXPROCS. Sweeps set the
+// width with runtime.GOMAXPROCS and restore it on return.
 func workerCounts() []int {
 	return []int{1, 4, runtime.GOMAXPROCS(0)}
 }
 
 func TestForestWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	X, y := synthClass(900, 3, 0.7, 41)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		f := NewForest(ForestConfig{Trees: 10, Seed: 3, Workers: w})
+		runtime.GOMAXPROCS(w)
+		f := NewForest(ForestConfig{Trees: 10, Seed: 3})
 		if err := f.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -159,10 +162,12 @@ func TestForestWorkerInvariance(t *testing.T) {
 }
 
 func TestExtraTreesWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	X, y := synthClass(900, 3, 0.7, 42)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		e := NewExtraTrees(ForestConfig{Trees: 12, Seed: 3, Workers: w})
+		runtime.GOMAXPROCS(w)
+		e := NewExtraTrees(ForestConfig{Trees: 12, Seed: 3})
 		if err := e.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}
@@ -182,10 +187,12 @@ func TestExtraTreesWorkerInvariance(t *testing.T) {
 }
 
 func TestGBMWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	X, y := synthClass(900, 4, 0.7, 43)
 	var ref [][]float64
 	for _, w := range workerCounts() {
-		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3, Workers: w})
+		runtime.GOMAXPROCS(w)
+		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3})
 		if err := g.FitClass(X, y, 4); err != nil {
 			t.Fatal(err)
 		}
@@ -206,7 +213,8 @@ func TestGBMWorkerInvariance(t *testing.T) {
 	Xr, yr := synthReg(900, 0.2, 44)
 	var refR []float64
 	for _, w := range workerCounts() {
-		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3, Workers: w})
+		runtime.GOMAXPROCS(w)
+		g := NewGBM(GBMConfig{Rounds: 8, Seed: 3})
 		if err := g.Fit(Xr, yr); err != nil {
 			t.Fatal(err)
 		}
@@ -224,12 +232,14 @@ func TestGBMWorkerInvariance(t *testing.T) {
 }
 
 func TestKNNWorkerInvariance(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	X, y := synthClass(800, 3, 0.6, 45)
 	q := X[:300]
 	var ref [][]float64
 	var refC []int
 	for _, w := range workerCounts() {
-		k := NewKNN(KNNConfig{K: 7, Workers: w})
+		runtime.GOMAXPROCS(w)
+		k := NewKNN(KNNConfig{K: 7})
 		if err := k.FitClass(X, y, 3); err != nil {
 			t.Fatal(err)
 		}

@@ -3,16 +3,23 @@ package ml
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 )
 
+// serialBench pins the pool to one worker for the rest of the benchmark.
+func serialBench(b *testing.B) {
+	old := runtime.GOMAXPROCS(1)
+	b.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // benchRows/benchFeatures size the cold-fit benchmark dataset. The
 // acceptance bar for the histogram backend is measured on this shape:
 // ≥ 20k rows of mixed continuous + low-cardinality features, the regime
-// where sort-and-sweep split finding is most expensive. Every config pins
-// Workers: 1 so the before/after delta is the algorithmic win alone, not
-// parallelism.
+// where sort-and-sweep split finding is most expensive. Every benchmark
+// pins runtime.GOMAXPROCS(1) (serialBench) so the before/after delta is
+// the algorithmic win alone, not parallelism.
 const (
 	benchRows     = 20000
 	benchFeatures = 16
@@ -96,9 +103,10 @@ func sink(v float64) {
 // BenchmarkMLForestFitClass is the cold classification-forest fit the
 // execute step of every generated pipeline pays (Alg. 4).
 func BenchmarkMLForestFitClass(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -108,9 +116,10 @@ func BenchmarkMLForestFitClass(b *testing.B) {
 
 // BenchmarkMLForestFitReg is the cold regression-forest fit.
 func BenchmarkMLForestFitReg(b *testing.B) {
+	serialBench(b)
 	X, _, yr := benchData()
 	for i := 0; i < b.N; i++ {
-		f := NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		f := NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := f.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -121,9 +130,10 @@ func BenchmarkMLForestFitReg(b *testing.B) {
 // BenchmarkMLGBMFitClass is the cold one-vs-rest boosted fit (rounds ×
 // classes tree fits over the same matrix).
 func BenchmarkMLGBMFitClass(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
 	for i := 0; i < b.N; i++ {
-		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := g.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -133,9 +143,10 @@ func BenchmarkMLGBMFitClass(b *testing.B) {
 
 // BenchmarkMLGBMFitReg is the cold least-squares boosted fit.
 func BenchmarkMLGBMFitReg(b *testing.B) {
+	serialBench(b)
 	X, _, yr := benchData()
 	for i := 0; i < b.N; i++ {
-		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		g := NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := g.Fit(X, yr); err != nil {
 			b.Fatal(err)
 		}
@@ -145,9 +156,10 @@ func BenchmarkMLGBMFitReg(b *testing.B) {
 
 // BenchmarkMLExtraTreesFitClass is the cold extra-trees fit.
 func BenchmarkMLExtraTreesFitClass(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
 	for i := 0; i < b.N; i++ {
-		e := NewExtraTrees(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		e := NewExtraTrees(ForestConfig{Trees: 15, Seed: 7})
 		if err := e.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -164,9 +176,10 @@ var (
 
 // BenchmarkMLForestProba times batch inference over the full matrix.
 func BenchmarkMLForestProba(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
 	benchForestOnce.Do(func() {
-		benchForest = NewForest(ForestConfig{Trees: 15, Seed: 7, Workers: 1})
+		benchForest = NewForest(ForestConfig{Trees: 15, Seed: 7})
 		if err := benchForest.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -179,9 +192,10 @@ func BenchmarkMLForestProba(b *testing.B) {
 
 // BenchmarkMLGBMProba times batch boosted inference over the full matrix.
 func BenchmarkMLGBMProba(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
 	benchGBMOnce.Do(func() {
-		benchGBM = NewGBM(GBMConfig{Rounds: 40, Seed: 7, Workers: 1})
+		benchGBM = NewGBM(GBMConfig{Rounds: 40, Seed: 7})
 		if err := benchGBM.FitClass(X, yc, benchClasses); err != nil {
 			b.Fatal(err)
 		}
@@ -195,8 +209,9 @@ func BenchmarkMLGBMProba(b *testing.B) {
 // BenchmarkMLKNNPredict times brute-force batch KNN prediction (4k
 // stored rows, 2k queries), the per-row scan the pool now parallelizes.
 func BenchmarkMLKNNPredict(b *testing.B) {
+	serialBench(b)
 	X, yc, _ := benchData()
-	k := NewKNN(KNNConfig{K: 7, MaxTrain: 4000, Workers: 1})
+	k := NewKNN(KNNConfig{K: 7, MaxTrain: 4000})
 	if err := k.FitClass(X[:4000], yc[:4000], benchClasses); err != nil {
 		b.Fatal(err)
 	}

@@ -69,7 +69,7 @@ func (e *ExtraTrees) fit(X [][]float64, y []float64) {
 	e.trees = make([]*randTree, cfg.Trees)
 	n := len(y)
 	bm := sharedBinned(X, cfg.Backend, cfg.MaxBins, n)
-	_ = pool.Each(cfg.Workers, cfg.Trees, func(t int) error {
+	_ = pool.Each(cfg.Trees, func(t int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(t)*104729))
 		rows := make([]int, n)
 		for i := range rows {
@@ -182,7 +182,7 @@ func (e *ExtraTrees) leaf(y []float64, idx []int) *randTree {
 func (t *randTree) lookup(row []float64) []float64 {
 	n := t
 	for n != nil && !n.isLeaf {
-		if n.feature < len(row) && row[n.feature] <= n.threshold {
+		if row[n.feature] <= n.threshold {
 			n = n.left
 		} else {
 			n = n.right
@@ -209,7 +209,7 @@ func (e *ExtraTrees) Predict(X [][]float64) []float64 {
 		return out
 	}
 	nt := float64(len(e.trees))
-	forChunks(e.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for _, t := range e.trees {
@@ -239,7 +239,7 @@ func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 		}
 		return out
 	}
-	forChunks(e.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, e.classes)
 			for _, t := range e.trees {

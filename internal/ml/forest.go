@@ -13,10 +13,6 @@ type ForestConfig struct {
 	MinLeaf     int // default 3
 	FeatureFrac float64
 	Seed        int64
-	// Workers bounds the goroutines used for tree fitting and batch
-	// inference: 0 = GOMAXPROCS, 1 = serial. Every tree derives its RNG
-	// from its index, so the ensemble is bit-identical at any setting.
-	Workers int
 	// Backend selects the tree split backend (default auto: histogram
 	// for large fits, exact for small ones).
 	Backend Backend
@@ -91,7 +87,7 @@ func (f *Forest) fitEnsemble(X [][]float64, yf []float64) error {
 		treeBackend = BackendHist
 	}
 	f.trees = make([]*Tree, cfg.Trees)
-	err := pool.Each(cfg.Workers, cfg.Trees, func(i int) error {
+	err := pool.Each(cfg.Trees, func(i int) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
 		rows := make([]int, n)
 		for r := range rows {
@@ -128,7 +124,7 @@ func (f *Forest) Predict(X [][]float64) []float64 {
 		return out
 	}
 	nt := float64(len(f.trees))
-	forChunks(f.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			var sum float64
 			for _, t := range f.trees {
@@ -159,7 +155,7 @@ func (f *Forest) Proba(X [][]float64) [][]float64 {
 		return out
 	}
 	nt := float64(len(f.trees))
-	forChunks(f.Config.Workers, len(X), func(lo, hi int) {
+	forChunks(len(X), func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			acc := make([]float64, f.classes)
 			for _, t := range f.trees {

@@ -74,14 +74,14 @@ func predictFromProba(p [][]float64) []int {
 const inferChunk = 512
 
 // forChunks fans fn over contiguous row ranges of [0,n) on the worker
-// pool (workers: 0 = GOMAXPROCS, 1 = serial). Each chunk writes only its
-// own output indices, so results are identical at any worker count.
-func forChunks(workers, n int, fn func(lo, hi int)) {
+// pool. Each chunk writes only its own output indices, so results are
+// identical at any pool width.
+func forChunks(n int, fn func(lo, hi int)) {
 	if n == 0 {
 		return
 	}
 	chunks := (n + inferChunk - 1) / inferChunk
-	_ = pool.Each(workers, chunks, func(c int) error {
+	_ = pool.Each(chunks, func(c int) error {
 		lo := c * inferChunk
 		hi := lo + inferChunk
 		if hi > n {

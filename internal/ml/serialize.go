@@ -181,16 +181,33 @@ func unflattenRandNode(nodes []FlatNode, i int) (*randTree, error) {
 	return n, nil
 }
 
-func unflattenTree(nodes []FlatNode) (*treeNode, error) {
+// checkTree validates a flattened tree before reconstruction: it must
+// be non-empty, and every split node must address a feature column in
+// [0, nFeatures). Traversal indexes rows by split feature unchecked, so
+// this is what keeps a corrupt dump from scoring silently or panicking.
+func checkTree(nodes []FlatNode, nFeatures int) error {
 	if len(nodes) == 0 {
-		return nil, nil
+		return fmt.Errorf("ml: malformed tree dump: empty tree")
+	}
+	for i, n := range nodes {
+		if !n.Leaf && (n.Feature < 0 || n.Feature >= nFeatures) {
+			return fmt.Errorf("ml: malformed tree dump: node %d splits on feature %d (model has %d features)",
+				i, n.Feature, nFeatures)
+		}
+	}
+	return nil
+}
+
+func unflattenTree(nodes []FlatNode, nFeatures int) (*treeNode, error) {
+	if err := checkTree(nodes, nFeatures); err != nil {
+		return nil, err
 	}
 	return unflattenNode(nodes, 0)
 }
 
-func unflattenRandTree(nodes []FlatNode) (*randTree, error) {
-	if len(nodes) == 0 {
-		return nil, nil
+func unflattenRandTree(nodes []FlatNode, nFeatures int) (*randTree, error) {
+	if err := checkTree(nodes, nFeatures); err != nil {
+		return nil, err
 	}
 	return unflattenRandNode(nodes, 0)
 }
@@ -295,17 +312,16 @@ func Export(m any) (*FittedModel, error) {
 	}
 }
 
-// Model reconstructs a live model from the dump. workers bounds the
-// goroutines used for batch inference (0 = GOMAXPROCS, 1 = serial);
-// it is a runtime knob and never part of the serialized state — models
-// are bit-identical at any setting.
-func (fm *FittedModel) Model(workers int) (any, error) {
+// Model reconstructs a live model from the dump. nFeatures is the width
+// of the rows the model will score: tree dumps are rejected when a tree
+// is empty or a split node addresses a feature outside [0, nFeatures).
+func (fm *FittedModel) Model(nFeatures int) (any, error) {
 	switch fm.Kind {
 	case KindForest:
-		f := NewForest(ForestConfig{Workers: workers})
+		f := NewForest(ForestConfig{})
 		f.classes = fm.Classes
 		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes)
+			root, err := unflattenTree(nodes, nFeatures)
 			if err != nil {
 				return nil, err
 			}
@@ -318,10 +334,10 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		}
 		return f, nil
 	case KindExtraTrees:
-		e := NewExtraTrees(ForestConfig{Workers: workers})
+		e := NewExtraTrees(ForestConfig{})
 		e.classes = fm.Classes
 		for _, nodes := range fm.Trees {
-			root, err := unflattenRandTree(nodes)
+			root, err := unflattenRandTree(nodes, nFeatures)
 			if err != nil {
 				return nil, err
 			}
@@ -335,7 +351,7 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if len(fm.Trees) != 1 {
 			return nil, fmt.Errorf("ml: tree dump needs exactly 1 tree, got %d", len(fm.Trees))
 		}
-		root, err := unflattenTree(fm.Trees[0])
+		root, err := unflattenTree(fm.Trees[0], nFeatures)
 		if err != nil {
 			return nil, err
 		}
@@ -343,12 +359,12 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		t.root, t.classes = root, fm.Classes
 		return t, nil
 	case KindGBM:
-		g := NewGBM(GBMConfig{LearningRate: fm.LearningRate, Workers: workers})
+		g := NewGBM(GBMConfig{LearningRate: fm.LearningRate})
 		g.classes = fm.Classes
 		g.base = fm.Base
 		g.bias = fm.Bias
 		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes)
+			root, err := unflattenTree(nodes, nFeatures)
 			if err != nil {
 				return nil, err
 			}
@@ -359,7 +375,7 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		for _, chain := range fm.OVR {
 			var trees []*Tree
 			for _, nodes := range chain {
-				root, err := unflattenTree(nodes)
+				root, err := unflattenTree(nodes, nFeatures)
 				if err != nil {
 					return nil, err
 				}
@@ -382,7 +398,7 @@ func (fm *FittedModel) Model(workers int) (any, error) {
 		if err != nil {
 			return nil, err
 		}
-		k := NewKNN(KNNConfig{K: fm.K, Workers: workers})
+		k := NewKNN(KNNConfig{K: fm.K})
 		k.classes = fm.Classes
 		k.x, k.yr, k.yc, k.sc = fm.X, fm.Yr, fm.Yc, sc
 		if len(k.x) == 0 {

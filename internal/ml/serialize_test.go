@@ -3,12 +3,13 @@ package ml
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"testing"
 )
 
 // roundTrip pushes a FittedModel through JSON and back, returning the
-// reconstructed live model.
-func roundTrip(t *testing.T, m any, workers int) any {
+// reconstructed live model for rows of nFeatures columns.
+func roundTrip(t *testing.T, m any, nFeatures int) any {
 	t.Helper()
 	fm, err := Export(m)
 	if err != nil {
@@ -22,7 +23,7 @@ func roundTrip(t *testing.T, m any, workers int) any {
 	if err := json.Unmarshal(blob, &back); err != nil {
 		t.Fatalf("unmarshal: %v", err)
 	}
-	out, err := back.Model(workers)
+	out, err := back.Model(nFeatures)
 	if err != nil {
 		t.Fatalf("model: %v", err)
 	}
@@ -137,8 +138,10 @@ func TestSerializeClassifiersRoundTrip(t *testing.T) {
 			if err := m.FitClass(X, y, 3); err != nil {
 				t.Fatal(err)
 			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, workers := range []int{1, 4} {
-				back := roundTrip(t, m, workers).(prober)
+				runtime.GOMAXPROCS(workers)
+				back := roundTrip(t, m, len(X[0])).(prober)
 				sameProba(t, tc.name, m, back, Xq)
 			}
 		})
@@ -198,8 +201,10 @@ func TestSerializeRegressorsRoundTrip(t *testing.T) {
 			if err := m.Fit(X, y); err != nil {
 				t.Fatal(err)
 			}
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 			for _, workers := range []int{1, 4} {
-				back := roundTrip(t, m, workers).(predictor)
+				runtime.GOMAXPROCS(workers)
+				back := roundTrip(t, m, len(X[0])).(predictor)
 				samePredict(t, tc.name, m, back, Xq)
 			}
 		})

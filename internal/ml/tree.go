@@ -221,7 +221,7 @@ func (t *Tree) Proba(X [][]float64) [][]float64 {
 func (t *Tree) leafValue(row []float64) []float64 {
 	n := t.root
 	for n != nil && !n.isLeaf {
-		if n.feature < len(row) && row[n.feature] <= n.threshold {
+		if row[n.feature] <= n.threshold {
 			n = n.left
 		} else {
 			n = n.right

@@ -93,13 +93,15 @@ type PathNode struct {
 	Running bool
 }
 
-// CriticalPath walks the span hierarchy along the chain that determined
-// the trace's wall time: starting from the latest-finishing root, each
-// hop descends into the latest-finishing child — under concurrent
-// children (parallel experiment cells) that is the longest chain.
-// Self on each node is its duration minus the chosen child's, so the
-// Self column answers "where would shaving time actually shorten the
-// run". Returns nil on an empty (or nil) tracer.
+// CriticalPath walks the span hierarchy along the chain that cost the
+// most: starting from the longest root, each hop descends into the
+// longest child, ties going to the latest finish. Under sequential
+// children (the "stmt" spans of one execution) that names the costliest
+// statement rather than merely the last one; under concurrent children
+// (parallel experiment cells) it is the slowest cell. Self on each node
+// is its duration minus the chosen child's, so the Self column answers
+// "where would shaving time actually shorten the run". Returns nil on an
+// empty (or nil) tracer.
 func (t *Tracer) CriticalPath() []PathNode {
 	if t == nil {
 		return nil
@@ -120,19 +122,20 @@ func (t *Tracer) CriticalPath() []PathNode {
 		}
 		children[p] = append(children[p], d)
 	}
-	// latest picks the latest-finishing span; ties resolve to the span
-	// that started first (snapshot order), keeping the walk stable.
-	latest := func(cands []SpanData) SpanData {
+	// longest picks the longest span; ties go to the latest finish, then
+	// to the span that started first (snapshot order), keeping the walk
+	// stable.
+	longest := func(cands []SpanData) SpanData {
 		best := cands[0]
 		for _, c := range cands[1:] {
-			if c.Start+c.Dur > best.Start+best.Dur {
+			if c.Dur > best.Dur || (c.Dur == best.Dur && c.Start+c.Dur > best.Start+best.Dur) {
 				best = c
 			}
 		}
 		return best
 	}
 	var path []PathNode
-	cur := latest(children[0])
+	cur := longest(children[0])
 	for {
 		node := PathNode{ID: cur.ID, Name: cur.Name, Start: cur.Start, Dur: cur.Dur, Self: cur.Dur, Running: cur.Running}
 		kids := children[cur.ID]
@@ -140,7 +143,7 @@ func (t *Tracer) CriticalPath() []PathNode {
 			path = append(path, node)
 			return path
 		}
-		next := latest(kids)
+		next := longest(kids)
 		node.Self = cur.Dur - next.Dur
 		if node.Self < 0 {
 			node.Self = 0

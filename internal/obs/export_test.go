@@ -82,6 +82,42 @@ func TestCriticalPathPicksLatestChild(t *testing.T) {
 	}
 }
 
+// Sequential siblings: the costliest statement sits mid-pipeline and the
+// cheap last one finishes latest. The path must name the costly one.
+func TestCriticalPathNamesCostliestStatement(t *testing.T) {
+	tr := NewWithClock(fakeClock())
+	run := tr.Root("run")     // start 1ms
+	exec := run.Child("exec") // start 2ms
+	s1 := exec.Child("stmt")  // start 3ms
+	s1.End()                  // dur 1ms
+	s2 := exec.Child("stmt")  // start 5ms
+	for i := 0; i < 3; i++ {  // three 1ms fits: 6-7, 8-9, 10-11
+		s2.Child("fit").End()
+	}
+	s2.End()                 // dur 7ms
+	s3 := exec.Child("stmt") // start 13ms
+	s3.End()                 // dur 1ms, ends at 14ms (latest)
+	exec.End()
+	run.End()
+	path := tr.CriticalPath()
+	want := []string{"run", "exec", "stmt", "fit"}
+	if len(path) != len(want) {
+		t.Fatalf("path length = %d, want %d (%+v)", len(path), len(want), path)
+	}
+	for i, n := range path {
+		if n.Name != want[i] {
+			t.Errorf("path[%d] = %s, want %s", i, n.Name, want[i])
+		}
+	}
+	if got := path[2].Start.Milliseconds(); got != 5 {
+		t.Errorf("critical path chose the stmt starting at %dms, want the 7ms one at 5ms", got)
+	}
+	// Equal-length fits tie: the latest-finishing one is chosen.
+	if got := path[3].Start.Milliseconds(); got != 10 {
+		t.Errorf("critical path chose the fit starting at %dms, want 10ms", got)
+	}
+}
+
 func TestCriticalPathLiveTrace(t *testing.T) {
 	tr := NewWithClock(fakeClock())
 	run := tr.Root("run")

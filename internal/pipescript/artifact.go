@@ -74,16 +74,10 @@ type FittedPipeline struct {
 	Steps     []FittedStep    `json:"steps"`
 	Model     *ml.FittedModel `json:"model"`
 
-	// Runtime knobs — never serialized. Workers bounds inference
-	// goroutines (0 = GOMAXPROCS, 1 = serial; predictions are identical
-	// at any setting). ShardRows sets the row-shard chunk size for
-	// transform-time elementwise loops (0 = default, negative = serial);
-	// outputs are bit-identical at any value. Metrics, when set, records
-	// per-stage transform latencies and prediction counters; nil
-	// disables with zero overhead.
-	Workers   int           `json:"-"`
-	ShardRows int           `json:"-"`
-	Metrics   *obs.Registry `json:"-"`
+	// Metrics, when set, records per-stage transform latencies and
+	// prediction counters; never serialized. Nil disables recording with
+	// zero overhead.
+	Metrics *obs.Registry `json:"-"`
 
 	// model caches the reconstructed live model across Predict calls.
 	model any
@@ -111,7 +105,10 @@ func (fp *FittedPipeline) SaveFile(path string) error {
 	return f.Close()
 }
 
-// LoadFittedPipeline reads and version-checks an artifact.
+// LoadFittedPipeline reads and version-checks an artifact, then
+// reconstructs its model eagerly: a structurally corrupt model (empty
+// tree, split on a feature outside the artifact's feature list) fails
+// here with ErrArtifactModel instead of on the first Predict.
 func LoadFittedPipeline(r io.Reader) (*FittedPipeline, error) {
 	var fp FittedPipeline
 	if err := json.NewDecoder(r).Decode(&fp); err != nil {
@@ -120,6 +117,11 @@ func LoadFittedPipeline(r io.Reader) (*FittedPipeline, error) {
 	if fp.Version != ArtifactVersion {
 		return nil, &ArtifactError{Code: ErrArtifactVersion,
 			Msg: fmt.Sprintf("artifact version %d, this build reads version %d", fp.Version, ArtifactVersion)}
+	}
+	if fp.Model != nil {
+		if _, err := fp.liveModel(); err != nil {
+			return nil, err
+		}
 	}
 	return &fp, nil
 }

@@ -72,13 +72,14 @@ evaluate metric=auto
 	for _, model := range []string{"random_forest", "gbm", "knn"} {
 		for _, fitWorkers := range []int{1, 4} {
 			tr, te := split(messyTable(900, 2), 5)
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3, Workers: fitWorkers}
+			setProcs(t, fitWorkers)
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3}
 			res, fp := fitRoundTrip(t, ex, fmt.Sprintf(src, model), tr, te)
 			if len(res.TestProba) == 0 {
 				t.Fatalf("%s: no captured test probabilities", model)
 			}
 			for _, predWorkers := range []int{1, 4} {
-				fp.Workers = predWorkers
+				setProcs(t, predWorkers)
 				fp.model = nil // force re-instantiation at this worker count
 				pred, err := fp.Predict(te)
 				if err != nil {
@@ -115,13 +116,14 @@ evaluate metric=auto
 `
 	for _, model := range []string{"random_forest", "gbm", "knn"} {
 		tr, te := split(messyRegTable(900, 4), 6)
-		ex := &Executor{Target: "y", Task: data.Regression, Seed: 3, Workers: 2}
+		setProcs(t, 2)
+		ex := &Executor{Target: "y", Task: data.Regression, Seed: 3}
 		res, fp := fitRoundTrip(t, ex, fmt.Sprintf(src, model), tr, te)
 		if len(res.TestPredictions) == 0 {
 			t.Fatalf("%s: no captured test predictions", model)
 		}
 		for _, predWorkers := range []int{1, 4} {
-			fp.Workers = predWorkers
+			setProcs(t, predWorkers)
 			fp.model = nil
 			pred, err := fp.Predict(te)
 			if err != nil {
@@ -150,7 +152,8 @@ evaluate metric=auto
 	var blobs [][]byte
 	for _, workers := range []int{1, 4} {
 		tr, te := split(messyTable(600, 2), 5)
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3, Workers: workers}
+		setProcs(t, workers)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 3}
 		_, fp, err := ex.Fit(mustParse(t, src), tr, te)
 		if err != nil {
 			t.Fatal(err)
@@ -377,6 +380,64 @@ evaluate metric=auto
 	for _, want := range []string{"catdb_predict_seconds", "catdb_transform_stage_seconds"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("prom output missing %s", want)
+		}
+	}
+}
+
+// Structural corruption in a tree-ensemble artifact — a split on a
+// feature the artifact does not have, or an injected empty tree — fails
+// at load with ErrArtifactModel instead of scoring silently on the first
+// Predict.
+func TestLoadRejectsCorruptTreeModels(t *testing.T) {
+	src := `pipeline "corrupt"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+train model=%s target="y" trees=5
+`
+	corruptions := map[string]func(t *testing.T, fm *ml.FittedModel){
+		"feature_999": func(t *testing.T, fm *ml.FittedModel) {
+			for i := range fm.Trees[0] {
+				if !fm.Trees[0][i].Leaf {
+					fm.Trees[0][i].Feature = 999
+					return
+				}
+			}
+			t.Fatal("first tree has no split node to corrupt")
+		},
+		"empty_tree": func(t *testing.T, fm *ml.FittedModel) {
+			fm.Trees = append(fm.Trees, []ml.FlatNode{})
+		},
+	}
+	for _, model := range []string{"random_forest", "extra_trees"} {
+		tr, te := split(messyTable(300, 4), 5)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
+		_, fp, err := ex.Fit(mustParse(t, fmt.Sprintf(src, model)), tr, te)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var good bytes.Buffer
+		if err := fp.Save(&good); err != nil {
+			t.Fatal(err)
+		}
+		for name, corrupt := range corruptions {
+			t.Run(model+"/"+name, func(t *testing.T) {
+				bad, err := LoadFittedPipeline(bytes.NewReader(good.Bytes()))
+				if err != nil {
+					t.Fatalf("intact artifact: %v", err)
+				}
+				corrupt(t, bad.Model)
+				var buf bytes.Buffer
+				if err := bad.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				_, err = LoadFittedPipeline(&buf)
+				var ae *ArtifactError
+				if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+					t.Fatalf("load err = %v, want artifact error %s", err, ErrArtifactModel)
+				}
+			})
 		}
 	}
 }

@@ -57,19 +57,6 @@ type Executor struct {
 	// Policy, when set, enforces organizational library constraints
 	// (disallowed models/packages raise E_POLICY).
 	Policy *Policy
-	// Workers bounds the goroutines tree ensembles and KNN use for fitting
-	// and batch inference (0 = GOMAXPROCS, 1 = serial). Models derive
-	// per-tree/per-class seeds, so results are identical at any setting.
-	// It also bounds the width of each row-shard fan-out.
-	Workers int
-	// ShardRows caps the rows one shard task covers when elementwise op
-	// loops are split across workers (0 = the 32768 default; negative
-	// disables row sharding). Whether and how a loop shards depends only
-	// on the row count and this setting — never on Workers — and shards
-	// write disjoint row ranges, so results, artifacts, errors, and the
-	// catdb_shard_tasks_total metrics are bit-identical to serial
-	// execution at any (Workers, ShardRows).
-	ShardRows int
 	// Metrics, when set, records execution counts, latencies, and error
 	// codes (catdb_pipescript_*) into the observability registry. Nil
 	// disables recording with zero overhead.
@@ -90,7 +77,7 @@ type Executor struct {
 	record *FittedPipeline
 
 	// sh is the per-execution row sharder elementwise op loops fan out
-	// through, set by execute (nil when ShardRows < 0).
+	// through, set by execute.
 	sh *sharder
 }
 
@@ -124,7 +111,7 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 	if maxOH <= 0 {
 		maxOH = 64
 	}
-	e.sh = newSharder(e.ShardRows, e.Workers, e.Metrics)
+	e.sh = newSharder(e.Metrics)
 	defer func() { e.sh = nil }()
 	res := &Result{Program: p}
 
@@ -902,24 +889,24 @@ func (e *Executor) buildClassifier(st Stmt, name string) (classifierIface, error
 	switch name {
 	case "random_forest":
 		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed,
 			Backend: backend, MaxBins: bins}), nil
 	case "gbm", "gradient_boosting":
 		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	case "logistic_regression":
 		return ml.NewLogistic(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 20), Seed: e.Seed}), nil
 	case "knn":
-		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
+		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000}), nil
 	case "naive_bayes":
 		return ml.NewNaiveBayes(), nil
 	case "tabpfn":
 		return ml.NewTabPFNSim(), nil
 	case "extra_trees":
 		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	case "svm":
 		return ml.NewSVM(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 10), Seed: e.Seed}), nil
 	default:
@@ -938,22 +925,22 @@ func (e *Executor) buildRegressor(st Stmt, name string) (regressorIface, error) 
 	switch name {
 	case "random_forest":
 		return ml.NewForest(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	case "decision_tree":
 		return ml.NewTree(ml.TreeConfig{MaxDepth: depth, Seed: e.Seed,
 			Backend: backend, MaxBins: bins}), nil
 	case "gbm", "gradient_boosting":
 		return ml.NewGBM(ml.GBMConfig{Rounds: atoiOpt(st, "rounds", 40), MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	case "linear_regression":
 		return ml.NewLinear(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 150)}), nil
 	case "ridge":
 		return ml.NewLinear(ml.LinearConfig{Epochs: atoiOpt(st, "epochs", 150), L2: 0.01}), nil
 	case "knn":
-		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000, Workers: e.Workers}), nil
+		return ml.NewKNN(ml.KNNConfig{K: atoiOpt(st, "k", 7), MaxTrain: 4000}), nil
 	case "extra_trees":
 		return ml.NewExtraTrees(ml.ForestConfig{Trees: trees, MaxDepth: depth, Seed: e.Seed,
-			Workers: e.Workers, Backend: backend, MaxBins: bins}), nil
+			Backend: backend, MaxBins: bins}), nil
 	default:
 		return nil, rtErr(st.Line, ErrUnknownModel, "unknown regression model %q", name)
 	}

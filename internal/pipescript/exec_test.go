@@ -167,7 +167,8 @@ evaluate metric=auto
 `
 	for _, backend := range []string{"exact", "hist", "auto"} {
 		p := mustParse(t, strings.Replace(src, "%s", backend, 1))
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Workers: 2}
+		setProcs(t, 2)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
 		res, err := ex.Execute(p, tr, te)
 		if err != nil {
 			t.Fatalf("backend=%s: %v", backend, err)

@@ -26,11 +26,13 @@ var linearWorkerCounts = []int{1, 2, 4, 8}
 func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
-	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: 1}
+	setProcs(t, 1)
+	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 	wantRes, wantErr := base.Execute(p, tr, te)
 	for _, w := range linearWorkerCounts {
 		tracer := obs.New()
-		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Workers: w, Span: tracer.Root("exec")}
+		setProcs(t, w)
+		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, Span: tracer.Root("exec")}
 		gotRes, gotErr := ex.Execute(p, tr, te)
 		if (wantErr == nil) != (gotErr == nil) {
 			t.Fatalf("workers=%d: untraced err=%v traced err=%v", w, wantErr, gotErr)
@@ -144,7 +146,8 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: 1}
+	setProcs(t, 1)
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -154,7 +157,8 @@ train model=random_forest target="y" trees=10
 		t.Fatal(err)
 	}
 	for _, w := range linearWorkerCounts {
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Workers: w, Span: obs.New().Root("fit")}
+		setProcs(t, w)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, Span: obs.New().Root("fit")}
 		_, gotFP, err := ex.Fit(p, tr, te)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package pipescript
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"catdb/internal/bench/baseline"
@@ -43,7 +44,8 @@ func shardBenchTable(rows int) *data.Table {
 // `make bench` runs this twice: BENCH_BASELINE=shard (alias:
 // BENCH_SHARD_MODE=serial) captures the serial row-loop baseline into
 // BENCH_shard.json, then the default sharded pass records the parallel
-// numbers against it.
+// numbers against it. Both passes pin the pool to the width in the
+// benchmark name (runtime.GOMAXPROCS).
 func BenchmarkShardElementwise(b *testing.B) {
 	const rows = 1_000_000
 	base := shardBenchTable(rows)
@@ -62,24 +64,30 @@ onehot "cat"
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardRows := 0 // default chunk size
-	if baseline.Lane("shard", "BENCH_SHARD_MODE", "serial") {
-		shardRows = -1 // serial row loops
-	}
+	serialShardLane(b)
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("rows=%d/workers=%d", rows, workers)
 		b.Run(name, func(b *testing.B) {
+			setProcs(b, workers)
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
 				tr := base.Clone()
 				te := base.Head(512)
-				ex := &Executor{Seed: 1, AllowNoTrain: true, Workers: workers, ShardRows: shardRows}
+				ex := &Executor{Seed: 1, AllowNoTrain: true}
 				b.StartTimer()
 				if _, err := ex.Execute(p, tr, te); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// serialShardLane turns row sharding off for the rest of the benchmark
+// when the run captures the shard lane's serial baseline.
+func serialShardLane(b *testing.B) {
+	if baseline.Lane("shard", "BENCH_SHARD_MODE", "serial") {
+		setShard(b, serialShard, runtime.GOMAXPROCS(0))
 	}
 }
 
@@ -115,16 +123,11 @@ train model=random_forest target="y" trees=15
 		b.Fatal(err)
 	}
 	batch := shardBenchTable(batchRows)
-	serial := baseline.Lane("shard", "BENCH_SHARD_MODE", "serial")
+	serialShardLane(b)
 	for _, workers := range []int{4} {
 		name := fmt.Sprintf("batch=%d/workers=%d", batchRows, workers)
 		b.Run(name, func(b *testing.B) {
-			fp.Workers = workers
-			if serial {
-				fp.ShardRows = -1
-			} else {
-				fp.ShardRows = 0
-			}
+			setProcs(b, workers)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := fp.Predict(batch); err != nil {

@@ -3,8 +3,10 @@ package pipescript
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -20,6 +22,25 @@ var (
 	shardWorkersSweep = []int{1, 2, 8}
 )
 
+// setProcs sets the pool width (GOMAXPROCS) until the end of the test.
+func setProcs(t testing.TB, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// serialShard is a chunk size no column reaches: row sharding off.
+const serialShard = math.MaxInt
+
+// setShard sets the row-shard chunk size and the pool width
+// (GOMAXPROCS) until the end of the test; cleanups restore in reverse
+// order, so the originals come back however often it is called.
+func setShard(t testing.TB, sr, workers int) {
+	setProcs(t, workers)
+	old := shardRows
+	shardRows = sr
+	t.Cleanup(func() { shardRows = old })
+}
+
 // execShardWays runs the program with row sharding disabled (the serial
 // baseline) and then across the full (shardRows, workers) sweep,
 // requiring bit-identical results and errors everywhere.
@@ -27,12 +48,14 @@ func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
-	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, ShardRows: -1, Workers: 1}
+	setShard(t, serialShard, 1)
+	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 	wantRes, wantErr := base.Execute(p, tr, te)
 	for _, sr := range shardRowsSweep {
 		for _, w := range shardWorkersSweep {
 			tr, te := mk()
-			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true, ShardRows: sr, Workers: w}
+			setShard(t, sr, w)
+			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 			gotRes, gotErr := ex.Execute(p, tr, te)
 			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
 			if (wantErr == nil) != (gotErr == nil) {
@@ -209,7 +232,8 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, ShardRows: -1}
+	setShard(t, serialShard, runtime.GOMAXPROCS(0))
+	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +244,8 @@ train model=random_forest target="y" trees=10
 	}
 	for _, sr := range shardRowsSweep {
 		for _, w := range shardWorkersSweep {
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2, ShardRows: sr, Workers: w}
+			setShard(t, sr, w)
+			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 			_, gotFP, err := ex.Fit(p, tr, te)
 			if err != nil {
 				t.Fatal(err)
@@ -290,7 +315,8 @@ train model=naive_bayes target="y"
 	counters := func(w int) map[string]int64 {
 		tr, te := split(messyTable(900, 4), 5)
 		reg := obs.NewRegistry()
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, ShardRows: 64, Workers: w, Metrics: reg}
+		setShard(t, 64, w)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Metrics: reg}
 		if _, err := ex.Execute(p, tr, te); err != nil {
 			t.Fatal(err)
 		}
@@ -316,12 +342,13 @@ train model=naive_bayes target="y"
 	// Sharding disabled must record nothing.
 	tr, te := split(messyTable(900, 4), 5)
 	reg := obs.NewRegistry()
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, ShardRows: -1, Workers: 4, Metrics: reg}
+	setShard(t, serialShard, 4)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Metrics: reg}
 	if _, err := ex.Execute(p, tr, te); err != nil {
 		t.Fatal(err)
 	}
 	if got := reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(); got != 0 {
-		t.Fatalf("ShardRows=-1 still recorded %d shard tasks", got)
+		t.Fatalf("serial shard size still recorded %d shard tasks", got)
 	}
 }
 
@@ -379,7 +406,7 @@ train model=random_forest target="y" trees=10
 	batch := messyTable(400, 9)
 	batch.DropColumn("y")
 
-	fp.ShardRows, fp.Workers = -1, 1
+	setShard(t, serialShard, 1)
 	wantT, err := fp.Transform(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -390,7 +417,7 @@ train model=random_forest target="y" trees=10
 	}
 	for _, sr := range shardRowsSweep {
 		for _, w := range shardWorkersSweep {
-			fp.ShardRows, fp.Workers = sr, w
+			setShard(t, sr, w)
 			gotT, err := fp.Transform(batch)
 			if err != nil {
 				t.Fatal(err)
@@ -437,7 +464,7 @@ func TestServingStepErrorIdentical(t *testing.T) {
 	const want = `pipescript: artifact error [E_STEP_FAILED]: step 1 (no_such_op on "b"): unknown fitted step "no_such_op"`
 	for _, sr := range shardRowsSweep {
 		for _, w := range shardWorkersSweep {
-			fp.ShardRows, fp.Workers = sr, w
+			setShard(t, sr, w)
 			_, err := fp.Transform(tab)
 			if err == nil || err.Error() != want {
 				t.Fatalf("shardRows=%d workers=%d: got error %v, want %s", sr, w, err, want)

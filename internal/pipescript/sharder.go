@@ -15,42 +15,33 @@ import (
 // at most shardRows rows and fans the chunks out over internal/pool.
 //
 // Determinism contract: whether a loop shards, and into how many
-// tasks, depends only on (row count, shardRows) — never on the worker
-// count — so the catdb_shard_tasks_total counters are identical at any
-// Workers setting, and every shard writes a disjoint row range of a
-// column prepared with BeginShardWrite (see internal/data/shard.go),
-// so results are bit-identical to the serial loop.
+// tasks, depends only on (row count, shardRows) — never on the pool
+// width — so the catdb_shard_tasks_total counters are identical at any
+// GOMAXPROCS, and every shard writes a disjoint row range of a column
+// prepared with BeginShardWrite (see internal/data/shard.go), so
+// results are bit-identical to the serial loop.
 //
 // Statements execute one after another and no shard body re-enters the
 // sharder, so at most one fan-out is live per execution: each fan-out
-// may use the executor's full worker count.
+// may use the full pool.
 
-// defaultShardRows is the chunk size elementwise loops shard at when
-// the caller does not set ShardRows. Columns at or under this length
-// run serially — the fan-out overhead only pays for itself on slabs
-// well past L2 size.
-const defaultShardRows = 32768
+// shardRows is the chunk size elementwise loops shard at. Columns at or
+// under this length run serially — the fan-out overhead only pays for
+// itself on slabs well past L2 size — so large fits shard and small
+// serving batches do not. Results are bit-identical at any value; it is
+// a variable only so the equivalence tests can sweep it.
+var shardRows = 32768
 
 // sharder fans elementwise row loops out over the pool. A nil sharder
 // runs every body serially in the caller — helpers never need to
 // special-case the serial path.
 type sharder struct {
-	shardRows int
-	workers   int // pool width per fan-out (<= 0 = pool.DefaultWorkers())
-	metrics   *obs.Registry
+	metrics *obs.Registry
 }
 
-// newSharder builds the per-execution sharder. shardRows == 0 selects
-// defaultShardRows; shardRows < 0 disables row sharding entirely (nil
-// sharder), which is the serial baseline the bench two-pass captures.
-func newSharder(shardRows, workers int, metrics *obs.Registry) *sharder {
-	if shardRows < 0 {
-		return nil
-	}
-	if shardRows == 0 {
-		shardRows = defaultShardRows
-	}
-	return &sharder{shardRows: shardRows, workers: workers, metrics: metrics}
+// newSharder builds the per-execution sharder.
+func newSharder(metrics *obs.Registry) *sharder {
+	return &sharder{metrics: metrics}
 }
 
 // transform runs an elementwise in-place body over col. Short columns
@@ -60,14 +51,14 @@ func newSharder(shardRows, workers int, metrics *obs.Registry) *sharder {
 // once after the join (EndShardWrite). The body must write only
 // through row i of the view it is given.
 func (sh *sharder) transform(op string, col *data.Column, body func(v *data.Column)) {
-	if sh == nil || col.Len() <= sh.shardRows {
+	if sh == nil || col.Len() <= shardRows {
 		body(col)
 		return
 	}
 	start := obs.Now()
-	ranges := data.ShardRanges(col.Len(), sh.shardRows)
+	ranges := data.ShardRanges(col.Len(), shardRows)
 	col.BeginShardWrite()
-	pool.Each(sh.workers, len(ranges), func(k int) error {
+	pool.Each(len(ranges), func(k int) error {
 		body(col.ShardView(ranges[k][0], ranges[k][1]))
 		return nil
 	})
@@ -81,13 +72,13 @@ func (sh *sharder) transform(op string, col *data.Column, body func(v *data.Colu
 // inside their chunk. Reads of existing columns are safe to share —
 // every accessor used here is a pure read.
 func (sh *sharder) ranges(op string, n int, body func(lo, hi int)) {
-	if sh == nil || n <= sh.shardRows {
+	if sh == nil || n <= shardRows {
 		body(0, n)
 		return
 	}
 	start := obs.Now()
-	ranges := data.ShardRanges(n, sh.shardRows)
-	pool.Each(sh.workers, len(ranges), func(k int) error {
+	ranges := data.ShardRanges(n, shardRows)
+	pool.Each(len(ranges), func(k int) error {
 		body(ranges[k][0], ranges[k][1])
 		return nil
 	})
@@ -95,8 +86,8 @@ func (sh *sharder) ranges(op string, n int, body func(lo, hi int)) {
 }
 
 // record books the per-op shard metrics. Task counts depend only on
-// row counts and shardRows, so they are deterministic at any worker
-// count; only the duration histogram values vary run to run.
+// row counts and shardRows, so they are deterministic at any pool
+// width; only the duration histogram values vary run to run.
 func (sh *sharder) record(op string, tasks int, start time.Time) {
 	if sh.metrics == nil {
 		return

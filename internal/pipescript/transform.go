@@ -121,13 +121,6 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 	return nil
 }
 
-// sharderFor builds the per-call row sharder the serving path uses:
-// the same engine the executor runs, sized by the artifact's runtime
-// knobs.
-func (fp *FittedPipeline) sharderFor() *sharder {
-	return newSharder(fp.ShardRows, fp.Workers, fp.Metrics)
-}
-
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
 // never mutated. Steps apply in recorded order; elementwise row loops
@@ -135,7 +128,7 @@ func (fp *FittedPipeline) sharderFor() *sharder {
 // loop.
 func (fp *FittedPipeline) Transform(t *data.Table) (*data.Table, error) {
 	out := t.Clone()
-	sh := fp.sharderFor()
+	sh := newSharder(fp.Metrics)
 	for i := range fp.Steps {
 		step := &fp.Steps[i]
 		start := obs.Now()
@@ -168,7 +161,7 @@ func (fp *FittedPipeline) liveModel() (any, error) {
 	if fp.model != nil {
 		return fp.model, nil
 	}
-	m, err := fp.Model.Model(fp.Workers)
+	m, err := fp.Model.Model(len(fp.Features))
 	if err != nil {
 		return nil, artErr(ErrArtifactModel, "%v", err)
 	}
@@ -225,7 +218,7 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 				"fitted feature %q has %d missing values in the batch", name, c.MissingCount())
 		}
 	}
-	X, _ := matrixAligned(fp.sharderFor(), tt, fp.Features)
+	X, _ := matrixAligned(newSharder(fp.Metrics), tt, fp.Features)
 	m, err := fp.liveModel()
 	if err != nil {
 		return nil, err

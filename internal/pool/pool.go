@@ -1,6 +1,8 @@
 // Package pool provides the bounded worker pool underneath every
 // concurrent code path in the repo: the bench harness fans experiment
 // cells out over it, and the public ParallelPipGen batch API reuses it.
+// Its width is runtime.GOMAXPROCS(0), read at each fan-out — the one
+// concurrency control in the system. No layer above re-declares it.
 // The contract that makes concurrency safe to adopt everywhere is
 // determinism: results come back in index order, and the error returned
 // is the one a serial loop over the same cells would have hit first, so a
@@ -16,9 +18,6 @@ import (
 	"catdb/internal/obs"
 )
 
-// DefaultWorkers is the default pool size: one worker per available CPU.
-func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
-
 // poolMetrics is the process-wide observability registry for the pool.
 // Map and Each record batch/task counts, live queue depth and
 // active-worker gauges, the peak worker count, and cumulative worker busy
@@ -32,21 +31,16 @@ var poolMetrics atomic.Pointer[obs.Registry]
 // metrics sink is too.
 func SetMetrics(r *obs.Registry) { poolMetrics.Store(r) }
 
-// Map runs fn(0..n-1) on at most workers goroutines (workers <= 0 means
-// DefaultWorkers) and returns the results in index order.
+// Map runs fn(0..n-1) on at most GOMAXPROCS goroutines and returns the
+// results in index order.
 //
 // Error semantics match a serial loop: when calls fail, Map returns the
 // error of the lowest-indexed failing call and nil results. Indices are
 // dispatched in increasing order and a failure stops new dispatches, so
 // every index below the returned one has completed — the reported error
 // is exactly the one the serial harness would have surfaced.
-func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
-	if workers <= 0 {
-		workers = DefaultWorkers()
-	}
-	if workers > n {
-		workers = n
-	}
+func Map[T any](n int, fn func(i int) (T, error)) ([]T, error) {
+	workers := min(runtime.GOMAXPROCS(0), n)
 	out := make([]T, n)
 	if n == 0 {
 		return out, nil
@@ -143,8 +137,8 @@ func observedTask[T any](reg *obs.Registry, fn func(i int) (T, error)) func(i in
 }
 
 // Each is Map for cell functions with no result value.
-func Each(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
+func Each(n int, fn func(i int) error) error {
+	_, err := Map(n, func(i int) (struct{}, error) {
 		return struct{}{}, fn(i)
 	})
 	return err

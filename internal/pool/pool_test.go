@@ -3,14 +3,23 @@ package pool
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
 )
 
+// setProcs sets the pool width for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 func TestMapOrder(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{0, 1, 2, 7, 64} {
-		out, err := Map(workers, 33, func(i int) (int, error) { return i * i, nil })
+		runtime.GOMAXPROCS(workers)
+		out, err := Map(33, func(i int) (int, error) { return i * i, nil })
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -26,7 +35,8 @@ func TestMapOrder(t *testing.T) {
 }
 
 func TestMapEmpty(t *testing.T) {
-	out, err := Map[int](4, 0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
+	setProcs(t, 4)
+	out, err := Map[int](0, func(i int) (int, error) { t.Fatal("called"); return 0, nil })
 	if err != nil || len(out) != 0 {
 		t.Fatalf("out=%v err=%v", out, err)
 	}
@@ -35,8 +45,10 @@ func TestMapEmpty(t *testing.T) {
 func TestMapReturnsLowestIndexError(t *testing.T) {
 	// Several cells fail; the reported error must be the one a serial
 	// loop would have hit first, regardless of scheduling.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, workers := range []int{1, 4, 16} {
-		_, err := Map(workers, 100, func(i int) (int, error) {
+		runtime.GOMAXPROCS(workers)
+		_, err := Map(100, func(i int) (int, error) {
 			if i == 7 || i == 40 || i == 99 {
 				return 0, fmt.Errorf("cell %d", i)
 			}
@@ -50,9 +62,10 @@ func TestMapReturnsLowestIndexError(t *testing.T) {
 
 func TestMapBoundsConcurrency(t *testing.T) {
 	const workers = 3
+	setProcs(t, workers)
 	var inFlight, peak int64
 	var mu sync.Mutex
-	_, err := Map(workers, 50, func(i int) (int, error) {
+	_, err := Map(50, func(i int) (int, error) {
 		cur := atomic.AddInt64(&inFlight, 1)
 		mu.Lock()
 		if cur > peak {
@@ -71,15 +84,16 @@ func TestMapBoundsConcurrency(t *testing.T) {
 }
 
 func TestEach(t *testing.T) {
+	setProcs(t, 4)
 	var n int64
-	if err := Each(4, 20, func(i int) error { atomic.AddInt64(&n, 1); return nil }); err != nil {
+	if err := Each(20, func(i int) error { atomic.AddInt64(&n, 1); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if n != 20 {
 		t.Fatalf("ran %d cells", n)
 	}
 	wantErr := errors.New("boom")
-	if err := Each(4, 5, func(i int) error { return wantErr }); !errors.Is(err, wantErr) {
+	if err := Each(5, func(i int) error { return wantErr }); !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v", err)
 	}
 }

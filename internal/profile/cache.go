@@ -26,9 +26,7 @@ type Cache struct {
 	metrics *obs.Registry
 }
 
-// cacheKey identifies one profiling computation. Workers is normalized
-// out of the options: the profiler guarantees bit-identical output at any
-// worker count, so concurrency must not fragment the cache.
+// cacheKey identifies one profiling computation.
 type cacheKey struct {
 	content uint64
 	rows    int
@@ -68,8 +66,6 @@ func (c *Cache) Table(t *data.Table, target string, task data.Task, opts Options
 	if c == nil {
 		return Table(t, target, task, opts)
 	}
-	norm := opts.withDefaults()
-	norm.Workers = 0
 	key := cacheKey{
 		content: tableHash(t),
 		rows:    t.NumRows(),
@@ -77,7 +73,7 @@ func (c *Cache) Table(t *data.Table, target string, task data.Task, opts Options
 		dataset: t.Name,
 		target:  target,
 		task:    task,
-		opts:    norm,
+		opts:    opts.withDefaults(),
 	}
 	c.mu.Lock()
 	e, ok := c.entries[key]

@@ -3,6 +3,7 @@ package profile
 import (
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"catdb/internal/data"
@@ -36,13 +37,16 @@ func financialTable(t *testing.T) *data.Table {
 // derives its RNG from (seed, index, name) and all shared state is warmed
 // read-only before the fan-out.
 func TestParallelMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, tab := range []*data.Table{salaryLikeTable(), financialTable(t)} {
-		serial, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42, Workers: 1})
+		runtime.GOMAXPROCS(1)
+		serial, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42, Workers: workers})
+			runtime.GOMAXPROCS(workers)
+			par, err := Table(tab, tab.Cols[len(tab.Cols)-1].Name, data.Regression, Options{Seed: 42})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -93,13 +97,15 @@ func TestCacheBitIdenticalAndShared(t *testing.T) {
 		t.Fatal("content-identical table from a second load must hit the cache")
 	}
 
-	// Workers must not fragment the cache: the output is worker-invariant.
-	p4, err := c.Table(tab, target, data.Regression, Options{Seed: 7, Workers: 3})
+	// The pool width must not fragment the cache: the output is
+	// worker-invariant.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	p4, err := c.Table(tab, target, data.Regression, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p4 != p1 {
-		t.Fatal("worker count must be normalized out of the cache key")
+		t.Fatal("pool width must not be part of the cache key")
 	}
 }
 

@@ -134,8 +134,6 @@ type Options struct {
 	// (Seed, column index, column name), so the profile is bit-identical
 	// at any worker count.
 	Seed int64
-	// Workers bounds the per-column fan-out (0 = GOMAXPROCS, 1 = serial).
-	Workers int
 	// SummaryBackend selects how column statistics are computed
 	// (exact | sketch | auto, data.ParseSummaryBackend). The sketch
 	// backend answers quantiles from a mergeable fixed-size sketch and
@@ -158,8 +156,8 @@ func (o Options) withDefaults() Options {
 }
 
 // Table profiles a single table (Algorithm 1) against the given target
-// column and task. The per-column work fans out over a bounded worker
-// pool (Options.Workers); every column derives its sampling RNG from the
+// column and task. The per-column work fans out over the bounded worker
+// pool; every column derives its sampling RNG from the
 // profiling seed and its own identity, and all shared state (summaries,
 // embeddings) is warmed read-only before the fan-out, so the result is
 // bit-identical to the serial loop at any worker count.
@@ -186,7 +184,7 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	vecs := make([]embed.Vector, m)
 	sums := make([]*data.Summary, m)
 	workSums := make([]*data.Summary, m)
-	if err := pool.Each(opts.Workers, m, func(i int) error {
+	if err := pool.Each(m, func(i int) error {
 		sums[i] = t.Cols[i].SummaryWith(opts.SummaryBackend)
 		workSums[i] = work.Cols[i].SummaryWith(opts.SummaryBackend)
 		vecs[i] = embed.Column(work.Cols[i])
@@ -196,7 +194,7 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	}
 	targetCol := work.Col(target)
 
-	cols, err := pool.Map(opts.Workers, m, func(ci int) (*ColumnProfile, error) {
+	cols, err := pool.Map(m, func(ci int) (*ColumnProfile, error) {
 		c := t.Cols[ci]
 		sum := sums[ci]
 		// All ratio/count fields come from the warmed backend summary, not
