@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build vet test race verify bench lint-encapsulation lint-obs lint-transform lint-optable lint-shard lint-http lint-knobs
+.PHONY: build vet test race fuzz verify bench lint-fmt lint-encapsulation lint-obs lint-transform lint-optable lint-opbody lint-http lint-knobs
 
 build:
 	$(GO) build ./...
@@ -57,7 +57,7 @@ lint-transform:
 		exit 1; \
 	fi
 
-# Op metadata (arity, column footprint, shard class, handlers) lives in
+# Op metadata (arity, column footprint, handlers) lives in
 # one registry (pipescript/optable.go) consumed by the parser, executor,
 # and analyzer. Fail on any op dispatch switch in the executor sources
 # or any knownOps registration outside the registry.
@@ -75,22 +75,24 @@ lint-optable:
 		exit 1; \
 	fi
 
-# Elementwise op bodies parallelize only through the row sharder
-# (pipescript/sharder.go): its disjoint-write contract and its fan-out
-# width (the GOMAXPROCS-wide pool) are what keep results bit-identical
-# and the pool bounded. Fail on raw pool fan-outs or goroutines in
-# op-body/serving sources, and on raw slab views (NumsView/StrsView) in
-# op bodies — a raw slab loop would bypass the ShardView write path.
-lint-shard:
+# Op row loops run serially in the caller's goroutine, over the live
+# column, through its ordinary setters. Parallelism lives only in the ml
+# ensembles and inference, the profiler, CSV ingest and bench cells, so
+# op bodies must not fan out: fail on raw pool fan-outs or goroutines in
+# op-body/serving sources. Op bodies must also not loop over raw slab
+# views (NumsView/StrsView): NumsView hands out live storage, and a
+# write through it would bypass the setters' copy-on-write promotion and
+# summary invalidation.
+lint-opbody:
 	@matches=$$(grep -nE 'pool\.(Map|Each)\(|go func' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/exec.go internal/pipescript/transform.go); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-shard: raw parallelism in op bodies (route row loops through the sharder):"; \
+		echo "lint-opbody: raw parallelism in op bodies (op row loops run serially):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
 	@matches=$$(grep -nE '\.(NumsView|StrsView)\(' internal/pipescript/ops.go internal/pipescript/ops_extra.go internal/pipescript/transform.go); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-shard: raw slab access in elementwise op bodies (use column accessors through shard views):"; \
+		echo "lint-opbody: raw slab access in op bodies (use the column accessors and setters):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -129,17 +131,31 @@ lint-knobs:
 		exit 1; \
 	fi
 
-verify: build vet lint-encapsulation lint-obs lint-transform lint-optable lint-shard lint-http lint-knobs test race
+# Every Go file is gofmt-clean: fail when gofmt would rewrite any file.
+lint-fmt:
+	@matches=$$(gofmt -l .); \
+	if [ -n "$$matches" ]; then \
+		echo "lint-fmt: files not gofmt-clean (run gofmt -w):"; \
+		echo "$$matches"; \
+		exit 1; \
+	fi
+
+# Fitted-pipeline artifacts are untrusted input: fuzz LoadFittedPipeline
+# followed by Predict for a short fixed time on top of the seed corpus
+# (plain go test runs the seeds alone). A crasher lands in
+# internal/pipescript/testdata/fuzz/ and is committed as a regression seed.
+fuzz:
+	$(GO) test -run='^$$' -fuzz='^FuzzLoadFittedPipeline$$' -fuzztime=10s ./internal/pipescript/
+
+verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-optable lint-opbody lint-http lint-knobs test race fuzz
 
 # Profiling + ML benchmarks: one cold iteration per benchmark (matching
 # how the committed baselines were captured) merged into BENCH_*.json;
 # the pre-optimization baseline blocks in those files are preserved.
 #
 # Two-pass lanes select their pre-optimization baseline pass with
-# BENCH_BASELINE=<lane> (lanes: data, ingest, shard — see
-# internal/bench/baseline; the historical BENCH_DATA_MODE=deep,
-# BENCH_INGEST_MODE=legacy, and BENCH_SHARD_MODE=serial variables remain
-# supported aliases).
+# BENCH_BASELINE=<lane> (lanes: data, ingest — see
+# internal/bench/baseline).
 bench:
 	$(GO) test -run='^$$' -bench=Profile -benchmem -benchtime=1x ./internal/profile/ | $(GO) run ./cmd/benchjson -o BENCH_profile.json
 	$(GO) test -run='^$$' -bench=ML -benchmem -benchtime=1x -timeout=30m ./internal/ml/ | $(GO) run ./cmd/benchjson -o BENCH_ml.json
@@ -149,5 +165,3 @@ bench:
 	$(GO) test -run='^$$' -bench=Predict -benchtime=300x ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_predict.json
 	BENCH_BASELINE=ingest $(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_ingest.json
 	$(GO) test -run='^$$' -bench=Ingest -benchmem -benchtime=1x -timeout=30m ./internal/data/ | $(GO) run ./cmd/benchjson -o BENCH_ingest.json
-	BENCH_BASELINE=shard $(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -set-baseline -o BENCH_shard.json
-	$(GO) test -run='^$$' -bench=Shard -benchmem -benchtime=3x -timeout=30m ./internal/pipescript/ | $(GO) run ./cmd/benchjson -o BENCH_shard.json

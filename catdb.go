@@ -242,12 +242,12 @@ func ExecutePipeline(source string, train, test *Table, target string, task Task
 
 // ExecOptions attaches observability to ExecutePipelineWith and
 // FitPipelineWith. The zero value reproduces ExecutePipeline /
-// FitPipeline. Row sharding and tree/KNN models use a GOMAXPROCS-wide
-// pool; results are bit-identical at any setting.
+// FitPipeline. Op row loops run serially; tree/KNN models use a
+// GOMAXPROCS-wide pool, and results are bit-identical at any width.
 type ExecOptions struct {
 	// Metrics, when set, records execution counters and latency
-	// histograms (catdb_pipescript_*, catdb_shard_*) into
-	// the registry — the same registry an ops server serves at /metrics.
+	// histograms (catdb_pipescript_*) into the registry — the same
+	// registry an ops server serves at /metrics.
 	// Nil disables recording with zero overhead.
 	Metrics *Metrics
 	// TraceSpan, when set, parents one "stmt" span per executed

@@ -5,11 +5,8 @@
 //
 //	BENCH_BASELINE=<lane>
 //
-// where <lane> names the subsystem: "data" (deep-copy gather), "ingest"
-// (serial single-chunk parse), or "shard" (serial elementwise row
-// loops). The historical per-subsystem variables (BENCH_DATA_MODE=deep,
-// BENCH_INGEST_MODE=legacy, BENCH_SHARD_MODE=serial) remain supported as
-// aliases so existing invocations keep working.
+// where <lane> names the subsystem: "data" (deep-copy gather) or
+// "ingest" (serial single-chunk parse).
 //
 // The package is a leaf (it imports only os) so bench files anywhere —
 // including internal/data, which internal/bench itself imports — can
@@ -19,11 +16,5 @@ package baseline
 import "os"
 
 // Lane reports whether the current run should capture the named lane's
-// baseline: BENCH_BASELINE equals lane, or the lane's legacy variable
-// carries its legacy value.
-func Lane(lane, legacyVar, legacyValue string) bool {
-	if os.Getenv("BENCH_BASELINE") == lane {
-		return true
-	}
-	return legacyVar != "" && os.Getenv(legacyVar) == legacyValue
-}
+// baseline, i.e. whether BENCH_BASELINE equals lane.
+func Lane(lane string) bool { return os.Getenv("BENCH_BASELINE") == lane }

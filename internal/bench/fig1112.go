@@ -93,9 +93,9 @@ func RunFig11TenIterations(cfg Config) (*Fig11Result, error) {
 	// into the Fig11Cell aggregates strictly in the serial loop order, so
 	// AUC lists and token sums are identical at any worker count.
 	type contrib struct {
-		system string
-		failed bool
-		auc    float64
+		system            string
+		failed            bool
+		auc               float64
 		tokens, errTokens int
 		genSec, execSec   float64
 	}

@@ -8,21 +8,18 @@ import (
 )
 
 // The Data* benchmarks measure row subsetting on a 100k×30 table. With
-// BENCH_DATA_MODE=deep they run the pre-view O(cells) deep-copy gather
+// BENCH_BASELINE=data they run the pre-view O(cells) deep-copy gather
 // (the old Column.Select semantics, reimplemented below) so the committed
 // BENCH_data.json baseline can be re-captured:
 //
 //	BENCH_BASELINE=data go test -bench=Data ... | benchjson -set-baseline
 //	go test -bench=Data ...                     | benchjson
-//
-// (BENCH_DATA_MODE=deep remains a supported alias; see
-// internal/bench/baseline.)
 const (
 	benchRows = 100_000
 	benchCols = 30
 )
 
-func benchDeepMode() bool { return baseline.Lane("data", "BENCH_DATA_MODE", "deep") }
+func benchDeepMode() bool { return baseline.Lane("data") }
 
 func benchTable() *Table {
 	tb := NewTable("bench")

@@ -96,16 +96,6 @@ type Column struct {
 	store *colStore
 	rows  []int // view row mapping into store; nil = identity over the full store
 
-	// Shard-view state: a shard is a zero-copy window [shardOff,
-	// shardOff+shardLen) over a dense owned store, handed out by
-	// ShardView for disjoint-range parallel writes. Unlike rows-mapped
-	// views a shard writes THROUGH to the base slabs (own is a no-op),
-	// so the owner must promote once via BeginShardWrite before fanning
-	// out and bump stats once via EndShardWrite after the join.
-	shardOff int
-	shardLen int
-	isShard  bool
-
 	version     atomic.Uint64                // bumped by every mutating accessor
 	cache       atomic.Pointer[summaryEntry] // last computed exact Summary, if current
 	cacheSketch atomic.Pointer[summaryEntry] // last computed sketch Summary, if current
@@ -151,9 +141,6 @@ func (c *Column) ensureStore() *colStore {
 
 // Len returns the number of rows in the column.
 func (c *Column) Len() int {
-	if c.isShard {
-		return c.shardLen
-	}
 	if c.rows != nil {
 		return len(c.rows)
 	}
@@ -168,9 +155,6 @@ func (c *Column) Len() int {
 
 // at maps a view-relative row index to its storage slot.
 func (c *Column) at(i int) int {
-	if c.isShard {
-		return c.shardOff + i
-	}
 	if c.rows != nil {
 		return c.rows[i]
 	}
@@ -197,12 +181,6 @@ func (c *Column) IsMissing(i int) bool {
 // already owns its store returns immediately, so steady-state mutation
 // costs one boolean load. After own, row index == storage index.
 func (c *Column) own() {
-	if c.isShard {
-		// Shard views write through to the base slabs by contract: the
-		// owner promoted once in BeginShardWrite, and shards touch only
-		// their disjoint [shardOff, shardOff+shardLen) range.
-		return
-	}
 	st := c.ensureStore()
 	if c.rows == nil && !st.shared.Load() {
 		return
@@ -250,7 +228,7 @@ func (c *Column) SetStr(i int, v string) {
 // SetMissing marks row i as missing and zeroes its storage slot.
 func (c *Column) SetMissing(i int) {
 	c.own()
-	c.ensureWriteMask()
+	c.store.ensureMask(c.Len())
 	j := c.at(i)
 	c.store.missing[j] = true
 	if c.Kind == KindString {
@@ -264,20 +242,9 @@ func (c *Column) SetMissing(i int) {
 // ClearMissing marks row i as present without changing its stored value.
 func (c *Column) ClearMissing(i int) {
 	c.own()
-	c.ensureWriteMask()
+	c.store.ensureMask(c.Len())
 	c.store.missing[c.at(i)] = false
 	c.touch()
-}
-
-// ensureWriteMask sizes the missing mask for mask writes through this
-// column. Shard views never grow the mask themselves — BeginShardWrite
-// pre-sized it over the full base column, so concurrent shards only
-// ever write disjoint slots of an already-full-length slice.
-func (c *Column) ensureWriteMask() {
-	if c.isShard {
-		return
-	}
-	c.store.ensureMask(c.Len())
 }
 
 // MissingCount returns the number of missing cells.
@@ -319,9 +286,6 @@ func (c *Column) NumsView() []float64 {
 	if c.store == nil {
 		return nil
 	}
-	if c.isShard {
-		return c.store.nums[c.shardOff : c.shardOff+c.shardLen]
-	}
 	if c.rows == nil {
 		return c.store.nums
 	}
@@ -337,9 +301,6 @@ func (c *Column) NumsView() []float64 {
 func (c *Column) StrsView() []string {
 	if c.store == nil {
 		return nil
-	}
-	if c.isShard {
-		return c.store.strs[c.shardOff : c.shardOff+c.shardLen]
 	}
 	if c.rows == nil {
 		return c.store.strs

@@ -12,21 +12,18 @@ import (
 
 // The Ingest* benchmarks measure cold CSV parse (serial and
 // chunked-parallel) and cold summary builds (exact vs sketch) on
-// synthetic mixed-kind tables. With BENCH_INGEST_MODE=legacy the parse
+// synthetic mixed-kind tables. With BENCH_BASELINE=ingest the parse
 // benchmarks run the old ReadAll-based reader (readCSVLegacy) so the
 // committed BENCH_ingest.json baseline can be re-captured:
 //
 //	BENCH_BASELINE=ingest go test -bench=Ingest ... | benchjson -set-baseline
 //	go test -bench=Ingest ...                       | benchjson
-//
-// (BENCH_INGEST_MODE=legacy remains a supported alias; see
-// internal/bench/baseline.)
 const (
 	ingestBenchSmall = 100_000
 	ingestBenchLarge = 1_000_000
 )
 
-func ingestLegacyMode() bool { return baseline.Lane("ingest", "BENCH_INGEST_MODE", "legacy") }
+func ingestLegacyMode() bool { return baseline.Lane("ingest") }
 
 // ingestBenchCSV renders a mixed-kind table (ints, floats, bools,
 // categoricals, quoted free text with embedded commas, scattered

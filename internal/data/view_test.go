@@ -137,6 +137,27 @@ func TestViewMutationCopyOnWrite(t *testing.T) {
 	}
 }
 
+// A read-modify-write loop over every row of a permuted view gathers the
+// mapped rows into private storage on its first write: every row reads
+// its own source value, and the base stays untouched.
+func TestViewRewriteLoopCopyOnWrite(t *testing.T) {
+	base := NewNumeric("x", []float64{10, 11, 12, 13, 14, 15})
+	view := base.Select([]int{5, 3, 1})
+	for i := 0; i < view.Len(); i++ {
+		view.SetNum(i, view.Num(i)*2)
+	}
+	for i, w := range []float64{30, 26, 22} {
+		if view.Num(i) != w {
+			t.Fatalf("view row %d = %v, want %v", i, view.Num(i), w)
+		}
+	}
+	for i, w := range []float64{10, 11, 12, 13, 14, 15} {
+		if base.Num(i) != w {
+			t.Fatalf("CoW isolation broken: base row %d = %v, want %v", i, base.Num(i), w)
+		}
+	}
+}
+
 // Mutating the base after handing out a view must not show through the
 // view (the base promotes, the view keeps the old store).
 func TestBaseMutationInvisibleThroughView(t *testing.T) {

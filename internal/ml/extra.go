@@ -251,10 +251,8 @@ func (e *ExtraTrees) Proba(X [][]float64) [][]float64 {
 				if sum == 0 {
 					continue
 				}
-				for j := range acc {
-					if j < len(v) {
-						acc[j] += v[j] / sum
-					}
+				for j, x := range v {
+					acc[j] += x / sum
 				}
 			}
 			var tot float64
@@ -359,9 +357,7 @@ func (m *SVM) Proba(X [][]float64) [][]float64 {
 		for c := 0; c < m.classes; c++ {
 			margin := m.b[c]
 			for j, v := range rs {
-				if j < len(m.w[c]) {
-					margin += m.w[c][j] * v
-				}
+				margin += m.w[c][j] * v
 			}
 			p[c] = sigmoid(margin)
 			sum += p[c]

@@ -57,12 +57,14 @@ func fitScaler(X [][]float64) *scaler {
 	return s
 }
 
+// apply standardizes one row. Rows are exactly as wide as the scaler:
+// fits scale the rows they were fitted on, every scoring caller builds
+// rows in the fitted feature order, and FittedModel.Model rejects a
+// loaded scaler of any other width.
 func (s *scaler) apply(row []float64) []float64 {
 	out := make([]float64, len(row))
 	for j, v := range row {
-		if j < len(s.mean) {
-			out[j] = (v - s.mean[j]) / s.std[j]
-		}
+		out[j] = (v - s.mean[j]) / s.std[j]
 	}
 	return out
 }
@@ -144,9 +146,7 @@ func (l *Linear) Predict(X [][]float64) []float64 {
 		rs := l.sc.apply(row)
 		p := l.b
 		for j, v := range rs {
-			if j < len(l.w) {
-				p += l.w[j] * v
-			}
+			p += l.w[j] * v
 		}
 		out[i] = p*l.yStd + l.yMean
 	}
@@ -228,9 +228,7 @@ func (l *Logistic) Proba(X [][]float64) [][]float64 {
 		for c := 0; c < l.classes; c++ {
 			s := l.b[c]
 			for j, v := range rs {
-				if j < len(l.w[c]) {
-					s += l.w[c][j] * v
-				}
+				s += l.w[c][j] * v
 			}
 			p[c] = sigmoid(s)
 			sum += p[c]

@@ -83,9 +83,6 @@ func (nb *NaiveBayes) Proba(X [][]float64) [][]float64 {
 		for c := 0; c < nb.classes; c++ {
 			lp := math.Log(nb.prior[c])
 			for j, v := range row {
-				if j >= len(nb.mean[c]) {
-					break
-				}
 				m, va := nb.mean[c][j], nb.vari[c][j]
 				lp += -0.5*math.Log(2*math.Pi*va) - (v-m)*(v-m)/(2*va)
 			}

@@ -124,92 +124,152 @@ func flattenRandTree(root *randTree) []FlatNode {
 	return out
 }
 
-func checkChild(nodes []FlatNode, parent, child int) error {
-	if child == -1 {
+func unflattenNode(nodes []FlatNode, i int) *treeNode {
+	if i < 0 {
 		return nil
 	}
-	if child <= parent || child >= len(nodes) {
-		return fmt.Errorf("ml: malformed tree dump: node %d has child index %d (of %d nodes)",
-			parent, child, len(nodes))
-	}
-	return nil
+	fn := nodes[i]
+	return &treeNode{feature: fn.Feature, threshold: fn.Threshold,
+		isLeaf: fn.Leaf, value: fn.Value,
+		left: unflattenNode(nodes, fn.Left), right: unflattenNode(nodes, fn.Right)}
 }
 
-func unflattenNode(nodes []FlatNode, i int) (*treeNode, error) {
+func unflattenRandNode(nodes []FlatNode, i int) *randTree {
 	if i < 0 {
-		return nil, nil
+		return nil
 	}
 	fn := nodes[i]
-	if err := checkChild(nodes, i, fn.Left); err != nil {
-		return nil, err
-	}
-	if err := checkChild(nodes, i, fn.Right); err != nil {
-		return nil, err
-	}
-	n := &treeNode{feature: fn.Feature, threshold: fn.Threshold,
-		isLeaf: fn.Leaf, value: fn.Value}
-	var err error
-	if n.left, err = unflattenNode(nodes, fn.Left); err != nil {
-		return nil, err
-	}
-	if n.right, err = unflattenNode(nodes, fn.Right); err != nil {
-		return nil, err
-	}
-	return n, nil
+	return &randTree{feature: fn.Feature, threshold: fn.Threshold,
+		isLeaf: fn.Leaf, value: fn.Value,
+		left: unflattenRandNode(nodes, fn.Left), right: unflattenRandNode(nodes, fn.Right)}
 }
 
-func unflattenRandNode(nodes []FlatNode, i int) (*randTree, error) {
-	if i < 0 {
-		return nil, nil
-	}
-	fn := nodes[i]
-	if err := checkChild(nodes, i, fn.Left); err != nil {
-		return nil, err
-	}
-	if err := checkChild(nodes, i, fn.Right); err != nil {
-		return nil, err
-	}
-	n := &randTree{feature: fn.Feature, threshold: fn.Threshold,
-		isLeaf: fn.Leaf, value: fn.Value}
-	var err error
-	if n.left, err = unflattenRandNode(nodes, fn.Left); err != nil {
-		return nil, err
-	}
-	if n.right, err = unflattenRandNode(nodes, fn.Right); err != nil {
-		return nil, err
-	}
-	return n, nil
-}
-
-// checkTree validates a flattened tree before reconstruction: it must
-// be non-empty, and every split node must address a feature column in
-// [0, nFeatures). Traversal indexes rows by split feature unchecked, so
-// this is what keeps a corrupt dump from scoring silently or panicking.
-func checkTree(nodes []FlatNode, nFeatures int) error {
+// checkTree validates a flattened tree before reconstruction. The tree
+// must be non-empty. Every split node must address a feature column in
+// [0, nFeatures) and have two children that follow it in the slice, and
+// no node may be the child of two splits, so the walk is a tree (never a
+// loop or an exponentially unrolled DAG). Every leaf must have no
+// children and carry exactly leafWidth values. Traversal indexes rows by
+// split feature, and the ensembles index leaf values by class, both
+// unchecked, so this is what keeps a corrupt dump from scoring silently
+// or panicking.
+func checkTree(nodes []FlatNode, nFeatures, leafWidth int) error {
 	if len(nodes) == 0 {
 		return fmt.Errorf("ml: malformed tree dump: empty tree")
 	}
+	parented := make([]bool, len(nodes))
 	for i, n := range nodes {
-		if !n.Leaf && (n.Feature < 0 || n.Feature >= nFeatures) {
+		if n.Leaf {
+			if n.Left != -1 || n.Right != -1 {
+				return fmt.Errorf("ml: malformed tree dump: leaf %d has children", i)
+			}
+			if len(n.Value) != leafWidth {
+				return fmt.Errorf("ml: malformed tree dump: leaf %d holds %d values, want %d",
+					i, len(n.Value), leafWidth)
+			}
+			continue
+		}
+		if n.Feature < 0 || n.Feature >= nFeatures {
 			return fmt.Errorf("ml: malformed tree dump: node %d splits on feature %d (model has %d features)",
 				i, n.Feature, nFeatures)
+		}
+		for _, child := range []int{n.Left, n.Right} {
+			if child <= i || child >= len(nodes) {
+				return fmt.Errorf("ml: malformed tree dump: node %d has child index %d (of %d nodes)",
+					i, child, len(nodes))
+			}
+			if parented[child] {
+				return fmt.Errorf("ml: malformed tree dump: node %d is the child of two splits", child)
+			}
+			parented[child] = true
 		}
 	}
 	return nil
 }
 
-func unflattenTree(nodes []FlatNode, nFeatures int) (*treeNode, error) {
-	if err := checkTree(nodes, nFeatures); err != nil {
+func unflattenTree(nodes []FlatNode, nFeatures, leafWidth int) (*treeNode, error) {
+	if err := checkTree(nodes, nFeatures, leafWidth); err != nil {
 		return nil, err
 	}
-	return unflattenNode(nodes, 0)
+	return unflattenNode(nodes, 0), nil
 }
 
-func unflattenRandTree(nodes []FlatNode, nFeatures int) (*randTree, error) {
-	if err := checkTree(nodes, nFeatures); err != nil {
+func unflattenRandTree(nodes []FlatNode, nFeatures, leafWidth int) (*randTree, error) {
+	if err := checkTree(nodes, nFeatures, leafWidth); err != nil {
 		return nil, err
 	}
-	return unflattenRandNode(nodes, 0)
+	return unflattenRandNode(nodes, 0), nil
+}
+
+// leafWidth is the number of values each leaf of a tree ensemble holds:
+// one class count per class, or one mean for regression.
+func leafWidth(classes int) int {
+	if classes > 0 {
+		return classes
+	}
+	return 1
+}
+
+// checkLen reports a slice whose length is not want.
+func checkLen(kind, what string, got, want int) error {
+	if got != want {
+		return fmt.Errorf("ml: %s dump has %d %s, want %d", kind, got, what, want)
+	}
+	return nil
+}
+
+// checkMatrix reports a matrix that is not rows × cols.
+func checkMatrix(kind, what string, m [][]float64, rows, cols int) error {
+	if err := checkLen(kind, what+" rows", len(m), rows); err != nil {
+		return err
+	}
+	for i, r := range m {
+		if len(r) != cols {
+			return fmt.Errorf("ml: %s dump %s row %d has %d entries, want %d", kind, what, i, len(r), cols)
+		}
+	}
+	return nil
+}
+
+// checkInstances validates an instance store (knn, tabpfn): at least one
+// stored row, every row nFeatures wide, and one label per row in the
+// slice the task reads — Yr for regression, Yc (each in [0, Classes))
+// for classification.
+func checkInstances(fm *FittedModel, nFeatures int) error {
+	if len(fm.X) == 0 {
+		return fmt.Errorf("ml: %s dump has no stored rows", fm.Kind)
+	}
+	if err := checkMatrix(fm.Kind, "stored", fm.X, len(fm.X), nFeatures); err != nil {
+		return err
+	}
+	if fm.Classes == 0 {
+		return checkLen(fm.Kind, "regression targets", len(fm.Yr), len(fm.X))
+	}
+	if err := checkLen(fm.Kind, "class labels", len(fm.Yc), len(fm.X)); err != nil {
+		return err
+	}
+	for i, c := range fm.Yc {
+		if c < 0 || c >= fm.Classes {
+			return fmt.Errorf("ml: %s dump row %d has class label %d outside [0, %d)", fm.Kind, i, c, fm.Classes)
+		}
+	}
+	return nil
+}
+
+// checkClasses rejects a class count no fit produces: negative, a single
+// class, or no classes for a classification-only model kind.
+func checkClasses(fm *FittedModel) error {
+	switch fm.Kind {
+	case KindLogistic, KindNaiveBayes, KindSVM, KindTabPFN:
+		if fm.Classes < 2 {
+			return fmt.Errorf("ml: %s dump has %d classes, want at least 2", fm.Kind, fm.Classes)
+		}
+	default:
+		if fm.Classes < 0 || fm.Classes == 1 {
+			return fmt.Errorf("ml: %s dump has %d classes", fm.Kind, fm.Classes)
+		}
+	}
+	return nil
 }
 
 func dumpScaler(s *scaler) *ScalerDump {
@@ -219,9 +279,15 @@ func dumpScaler(s *scaler) *ScalerDump {
 	return &ScalerDump{Mean: s.mean, Std: s.std}
 }
 
-func loadScaler(d *ScalerDump, kind string) (*scaler, error) {
+func loadScaler(d *ScalerDump, kind string, nFeatures int) (*scaler, error) {
 	if d == nil {
 		return nil, fmt.Errorf("ml: %s dump is missing its scaler", kind)
+	}
+	if err := checkLen(kind, "scaler means", len(d.Mean), nFeatures); err != nil {
+		return nil, err
+	}
+	if err := checkLen(kind, "scaler stds", len(d.Std), nFeatures); err != nil {
+		return nil, err
 	}
 	return &scaler{mean: d.Mean, std: d.Std}, nil
 }
@@ -313,15 +379,22 @@ func Export(m any) (*FittedModel, error) {
 }
 
 // Model reconstructs a live model from the dump. nFeatures is the width
-// of the rows the model will score: tree dumps are rejected when a tree
-// is empty or a split node addresses a feature outside [0, nFeatures).
+// of the rows the model will score. The dump is validated first, so the
+// model can index it unchecked: tree dumps must pass checkTree, scaler,
+// weight and stored-row widths must be nFeatures, per-class slices must
+// have one entry per class, and stored class labels must lie in
+// [0, Classes). A dump that fails any check is rejected here rather than
+// panicking or scoring silently wrong in Predict.
 func (fm *FittedModel) Model(nFeatures int) (any, error) {
+	if err := checkClasses(fm); err != nil {
+		return nil, err
+	}
 	switch fm.Kind {
 	case KindForest:
 		f := NewForest(ForestConfig{})
 		f.classes = fm.Classes
 		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes, nFeatures)
+			root, err := unflattenTree(nodes, nFeatures, leafWidth(fm.Classes))
 			if err != nil {
 				return nil, err
 			}
@@ -337,7 +410,7 @@ func (fm *FittedModel) Model(nFeatures int) (any, error) {
 		e := NewExtraTrees(ForestConfig{})
 		e.classes = fm.Classes
 		for _, nodes := range fm.Trees {
-			root, err := unflattenRandTree(nodes, nFeatures)
+			root, err := unflattenRandTree(nodes, nFeatures, leafWidth(fm.Classes))
 			if err != nil {
 				return nil, err
 			}
@@ -351,7 +424,7 @@ func (fm *FittedModel) Model(nFeatures int) (any, error) {
 		if len(fm.Trees) != 1 {
 			return nil, fmt.Errorf("ml: tree dump needs exactly 1 tree, got %d", len(fm.Trees))
 		}
-		root, err := unflattenTree(fm.Trees[0], nFeatures)
+		root, err := unflattenTree(fm.Trees[0], nFeatures, leafWidth(fm.Classes))
 		if err != nil {
 			return nil, err
 		}
@@ -363,8 +436,9 @@ func (fm *FittedModel) Model(nFeatures int) (any, error) {
 		g.classes = fm.Classes
 		g.base = fm.Base
 		g.bias = fm.Bias
+		// Boosted trees are regression trees: one value per leaf.
 		for _, nodes := range fm.Trees {
-			root, err := unflattenTree(nodes, nFeatures)
+			root, err := unflattenTree(nodes, nFeatures, 1)
 			if err != nil {
 				return nil, err
 			}
@@ -375,7 +449,7 @@ func (fm *FittedModel) Model(nFeatures int) (any, error) {
 		for _, chain := range fm.OVR {
 			var trees []*Tree
 			for _, nodes := range chain {
-				root, err := unflattenTree(nodes, nFeatures)
+				root, err := unflattenTree(nodes, nFeatures, 1)
 				if err != nil {
 					return nil, err
 				}
@@ -388,60 +462,85 @@ func (fm *FittedModel) Model(nFeatures int) (any, error) {
 		if len(g.trees) == 0 && len(g.ovr) == 0 {
 			return nil, fmt.Errorf("ml: gbm dump has no trees")
 		}
-		if fm.Classes > 0 && len(g.ovr) != fm.Classes {
-			return nil, fmt.Errorf("ml: gbm dump has %d OVR chains for %d classes", len(g.ovr), fm.Classes)
+		if fm.Classes > 0 {
+			if len(g.ovr) != fm.Classes {
+				return nil, fmt.Errorf("ml: gbm dump has %d OVR chains for %d classes", len(g.ovr), fm.Classes)
+			}
+			if err := checkLen(fm.Kind, "class biases", len(g.bias), fm.Classes); err != nil {
+				return nil, err
+			}
 		}
 		g.fitted = true
 		return g, nil
 	case KindKNN:
-		sc, err := loadScaler(fm.Scaler, fm.Kind)
+		sc, err := loadScaler(fm.Scaler, fm.Kind, nFeatures)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkInstances(fm, nFeatures); err != nil {
 			return nil, err
 		}
 		k := NewKNN(KNNConfig{K: fm.K})
+		// Scoring never uses more than len(X) neighbours; clamping K also
+		// bounds the per-chunk neighbour buffer a corrupt K would size.
+		if k.Config.K > len(fm.X) {
+			k.Config.K = len(fm.X)
+		}
 		k.classes = fm.Classes
 		k.x, k.yr, k.yc, k.sc = fm.X, fm.Yr, fm.Yc, sc
-		if len(k.x) == 0 {
-			return nil, fmt.Errorf("ml: knn dump has no stored rows")
-		}
 		return k, nil
-	case KindLogistic:
-		sc, err := loadScaler(fm.Scaler, fm.Kind)
+	case KindLogistic, KindSVM:
+		sc, err := loadScaler(fm.Scaler, fm.Kind, nFeatures)
 		if err != nil {
 			return nil, err
+		}
+		if err := checkMatrix(fm.Kind, "class weight", fm.WC, fm.Classes, nFeatures); err != nil {
+			return nil, err
+		}
+		if err := checkLen(fm.Kind, "class biases", len(fm.BC), fm.Classes); err != nil {
+			return nil, err
+		}
+		if fm.Kind == KindSVM {
+			m := NewSVM(LinearConfig{})
+			m.classes = fm.Classes
+			m.w, m.b, m.sc = fm.WC, fm.BC, sc
+			return m, nil
 		}
 		l := NewLogistic(LinearConfig{})
 		l.classes = fm.Classes
 		l.w, l.b, l.sc = fm.WC, fm.BC, sc
 		return l, nil
 	case KindLinear:
-		sc, err := loadScaler(fm.Scaler, fm.Kind)
+		sc, err := loadScaler(fm.Scaler, fm.Kind, nFeatures)
 		if err != nil {
+			return nil, err
+		}
+		if err := checkLen(fm.Kind, "weights", len(fm.W), nFeatures); err != nil {
 			return nil, err
 		}
 		l := NewLinear(LinearConfig{})
 		l.w, l.b, l.sc, l.yMean, l.yStd = fm.W, fm.B, sc, fm.YMean, fm.YStd
 		return l, nil
 	case KindNaiveBayes:
+		if err := checkLen(fm.Kind, "priors", len(fm.Prior), fm.Classes); err != nil {
+			return nil, err
+		}
+		if err := checkMatrix(fm.Kind, "class mean", fm.Mean, fm.Classes, nFeatures); err != nil {
+			return nil, err
+		}
+		if err := checkMatrix(fm.Kind, "class variance", fm.Vari, fm.Classes, nFeatures); err != nil {
+			return nil, err
+		}
 		nb := NewNaiveBayes()
 		nb.classes = fm.Classes
 		nb.prior, nb.mean, nb.vari = fm.Prior, fm.Mean, fm.Vari
-		if len(nb.prior) != fm.Classes {
-			return nil, fmt.Errorf("ml: naive-bayes dump has %d priors for %d classes", len(nb.prior), fm.Classes)
-		}
 		return nb, nil
-	case KindSVM:
-		sc, err := loadScaler(fm.Scaler, fm.Kind)
+	case KindTabPFN:
+		sc, err := loadScaler(fm.Scaler, fm.Kind, nFeatures)
 		if err != nil {
 			return nil, err
 		}
-		m := NewSVM(LinearConfig{})
-		m.classes = fm.Classes
-		m.w, m.b, m.sc = fm.WC, fm.BC, sc
-		return m, nil
-	case KindTabPFN:
-		sc, err := loadScaler(fm.Scaler, fm.Kind)
-		if err != nil {
+		if err := checkInstances(fm, nFeatures); err != nil {
 			return nil, err
 		}
 		t := NewTabPFNSim()

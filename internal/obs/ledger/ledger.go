@@ -32,12 +32,12 @@ import (
 type Record struct {
 	// Time is the RFC3339 append timestamp — informational only, never
 	// part of comparison identity. Writer.Append stamps it when empty.
-	Time       string             `json:"time,omitempty"`
-	ConfigHash string             `json:"config_hash"`
-	Dataset    string             `json:"dataset"`
-	Model      string             `json:"model"`
-	Variant    string             `json:"variant,omitempty"`
-	Seed       int64              `json:"seed"`
+	Time         string             `json:"time,omitempty"`
+	ConfigHash   string             `json:"config_hash"`
+	Dataset      string             `json:"dataset"`
+	Model        string             `json:"model"`
+	Variant      string             `json:"variant,omitempty"`
+	Seed         int64              `json:"seed"`
 	StageSeconds map[string]float64 `json:"stage_seconds,omitempty"`
 	Tokens       map[string]int     `json:"tokens,omitempty"`
 	LLMCalls     int                `json:"llm_calls,omitempty"`

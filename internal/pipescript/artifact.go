@@ -188,5 +188,5 @@ func (e *Executor) recordAndApply(step FittedStep, te *data.Table) error {
 	if e.record != nil && !step.touchesTarget(e.Target) {
 		e.record.Steps = append(e.record.Steps, step)
 	}
-	return step.apply(e.sh, te)
+	return step.apply(te)
 }

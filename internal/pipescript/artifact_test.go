@@ -385,9 +385,10 @@ evaluate metric=auto
 }
 
 // Structural corruption in a tree-ensemble artifact — a split on a
-// feature the artifact does not have, or an injected empty tree — fails
-// at load with ErrArtifactModel instead of scoring silently on the first
-// Predict.
+// feature the artifact does not have, an injected empty tree, a leaf
+// whose width disagrees with the class count, or a split whose children
+// are missing or shared — fails at load with ErrArtifactModel instead of
+// scoring silently (or panicking) on the first Predict.
 func TestLoadRejectsCorruptTreeModels(t *testing.T) {
 	src := `pipeline "corrupt"
 impute "num" strategy=median
@@ -408,6 +409,32 @@ train model=%s target="y" trees=5
 		},
 		"empty_tree": func(t *testing.T, fm *ml.FittedModel) {
 			fm.Trees = append(fm.Trees, []ml.FlatNode{})
+		},
+		"short_leaf": func(t *testing.T, fm *ml.FittedModel) {
+			for i := range fm.Trees[0] {
+				if n := &fm.Trees[0][i]; n.Leaf {
+					n.Value = n.Value[:len(n.Value)-1]
+					return
+				}
+			}
+			t.Fatal("first tree has no leaf to corrupt")
+		},
+		"regression_classes": func(t *testing.T, fm *ml.FittedModel) {
+			fm.Classes = 0
+		},
+		"shared_child": func(t *testing.T, fm *ml.FittedModel) {
+			root := &fm.Trees[0][0]
+			if root.Leaf {
+				t.Fatal("first tree is a single leaf")
+			}
+			root.Right = root.Left
+		},
+		"missing_child": func(t *testing.T, fm *ml.FittedModel) {
+			root := &fm.Trees[0][0]
+			if root.Leaf {
+				t.Fatal("first tree is a single leaf")
+			}
+			root.Left = -1
 		},
 	}
 	for _, model := range []string{"random_forest", "extra_trees"} {
@@ -439,5 +466,176 @@ train model=%s target="y" trees=5
 				}
 			})
 		}
+	}
+}
+
+// Width corruption in a non-tree artifact — a weight, bias, scaler or
+// stored-row slice whose length disagrees with the artifact's feature or
+// class count, or a stored class label outside [0, Classes) — fails at
+// load with ErrArtifactModel. Left unchecked, a short slice either
+// panics inside Predict or scores silently wrong.
+func TestLoadRejectsCorruptModelWidths(t *testing.T) {
+	srcs := map[data.Task]string{
+		data.Multiclass: `pipeline "widths"
+impute "num" strategy=median
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+train model=%s target="y"
+`,
+		data.Regression: `pipeline "widths"
+impute "num" strategy=median
+target_encode "cat"
+train model=%s target="y"
+`,
+	}
+	shortRow := func(m [][]float64, i int) { m[i] = m[i][:len(m[i])-1] }
+	cases := []struct {
+		model   string
+		task    data.Task
+		name    string
+		corrupt func(fm *ml.FittedModel)
+	}{
+		{"logistic_regression", data.Multiclass, "short_bias", func(fm *ml.FittedModel) { fm.BC = fm.BC[:len(fm.BC)-1] }},
+		{"logistic_regression", data.Multiclass, "short_weight_row", func(fm *ml.FittedModel) { shortRow(fm.WC, 1) }},
+		{"logistic_regression", data.Multiclass, "short_scaler_std", func(fm *ml.FittedModel) {
+			fm.Scaler.Std = fm.Scaler.Std[:len(fm.Scaler.Std)-1]
+		}},
+		{"logistic_regression", data.Multiclass, "short_scaler_pair", func(fm *ml.FittedModel) {
+			fm.Scaler.Mean = fm.Scaler.Mean[:len(fm.Scaler.Mean)-1]
+			fm.Scaler.Std = fm.Scaler.Std[:len(fm.Scaler.Std)-1]
+		}},
+		{"svm", data.Multiclass, "short_bias", func(fm *ml.FittedModel) { fm.BC = fm.BC[:len(fm.BC)-1] }},
+		{"svm", data.Multiclass, "short_weight_row", func(fm *ml.FittedModel) { shortRow(fm.WC, 0) }},
+		{"linear_regression", data.Regression, "short_weights", func(fm *ml.FittedModel) { fm.W = fm.W[:len(fm.W)-1] }},
+		{"linear_regression", data.Regression, "short_scaler_pair", func(fm *ml.FittedModel) {
+			fm.Scaler.Mean = fm.Scaler.Mean[:len(fm.Scaler.Mean)-1]
+			fm.Scaler.Std = fm.Scaler.Std[:len(fm.Scaler.Std)-1]
+		}},
+		{"naive_bayes", data.Multiclass, "short_mean_row", func(fm *ml.FittedModel) { shortRow(fm.Mean, 0) }},
+		{"naive_bayes", data.Multiclass, "short_vari_rows", func(fm *ml.FittedModel) { fm.Vari = fm.Vari[:len(fm.Vari)-1] }},
+		{"knn", data.Multiclass, "short_stored_row", func(fm *ml.FittedModel) { shortRow(fm.X, 0) }},
+		{"knn", data.Multiclass, "short_labels", func(fm *ml.FittedModel) { fm.Yc = fm.Yc[:len(fm.Yc)-1] }},
+		{"knn", data.Multiclass, "label_out_of_range", func(fm *ml.FittedModel) { fm.Yc[0] = fm.Classes }},
+		{"knn", data.Regression, "short_targets", func(fm *ml.FittedModel) { fm.Yr = fm.Yr[:len(fm.Yr)-1] }},
+		{"tabpfn", data.Multiclass, "short_stored_row", func(fm *ml.FittedModel) { shortRow(fm.X, 0) }},
+		{"tabpfn", data.Multiclass, "negative_label", func(fm *ml.FittedModel) { fm.Yc[0] = -1 }},
+	}
+	saved := map[string][]byte{}
+	for _, tc := range cases {
+		t.Run(tc.model+"/"+tc.name, func(t *testing.T) {
+			key := tc.model + "/" + tc.task.String()
+			if saved[key] == nil {
+				tab := messyTable(300, 4)
+				if tc.task == data.Regression {
+					tab = messyRegTable(300, 4)
+				}
+				tr, te := split(tab, 5)
+				ex := &Executor{Target: "y", Task: tc.task, Seed: 1}
+				_, fp, err := ex.Fit(mustParse(t, fmt.Sprintf(srcs[tc.task], tc.model)), tr, te)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := fp.Save(&buf); err != nil {
+					t.Fatal(err)
+				}
+				saved[key] = buf.Bytes()
+			}
+			bad, err := LoadFittedPipeline(bytes.NewReader(saved[key]))
+			if err != nil {
+				t.Fatalf("intact artifact: %v", err)
+			}
+			tc.corrupt(bad.Model)
+			var buf bytes.Buffer
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadFittedPipeline(&buf)
+			var ae *ArtifactError
+			if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+				t.Fatalf("load err = %v, want artifact error %s", err, ErrArtifactModel)
+			}
+		})
+	}
+}
+
+// A serving batch whose source column arrives with the other kind
+// (numeric vs string) than the fit saw fails with ErrStepFailed: the
+// step's row loop would otherwise index a slab the column does not have.
+func TestPredictRejectsWrongKindColumn(t *testing.T) {
+	src := `pipeline "kinds"
+impute "num" strategy=median
+scale "num" method=standard
+dedup_values "cat"
+onehot "cat"
+khot "lst"
+train model=decision_tree target="y"
+`
+	tr, te := split(messyTable(200, 2), 5)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
+	_, fp, err := ex.Fit(mustParse(t, src), tr, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"num", "cat"} {
+		batch := messyTable(20, 3)
+		batch.DropColumn("y")
+		vals := make([]string, batch.NumRows())
+		flipped := data.NewString(name, vals)
+		if name == "cat" {
+			flipped = data.NewNumeric(name, make([]float64, batch.NumRows()))
+		}
+		batch.DropColumn(name)
+		batch.MustAddColumn(flipped)
+		_, err := fp.Predict(batch)
+		var ae *ArtifactError
+		if !errors.As(err, &ae) || ae.Code != ErrStepFailed {
+			t.Fatalf("%s flipped: predict err = %v, want artifact error %s", name, err, ErrStepFailed)
+		}
+	}
+}
+
+// The artifact's task picks the scorer and its class labels name the
+// model's class indices, so a task or label vocabulary that disagrees
+// with the model fails at load with ErrArtifactModel.
+func TestLoadRejectsTaskModelMismatch(t *testing.T) {
+	src := `pipeline "task"
+impute "num" strategy=median
+onehot "cat"
+khot "lst"
+train model=random_forest target="y" trees=3
+`
+	tr, te := split(messyTable(200, 6), 5)
+	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1}
+	_, fp, err := ex.Fit(mustParse(t, src), tr, te)
+	if err != nil {
+		t.Fatal(err)
+	}
+	corruptions := map[string]func(fp *FittedPipeline){
+		"dropped_label":   func(fp *FittedPipeline) { fp.Classes = fp.Classes[:len(fp.Classes)-1] },
+		"regression_task": func(fp *FittedPipeline) { fp.Task = data.Regression.String() },
+	}
+	for name, corrupt := range corruptions {
+		t.Run(name, func(t *testing.T) {
+			var good bytes.Buffer
+			if err := fp.Save(&good); err != nil {
+				t.Fatal(err)
+			}
+			bad, err := LoadFittedPipeline(&good)
+			if err != nil {
+				t.Fatalf("intact artifact: %v", err)
+			}
+			corrupt(bad)
+			var buf bytes.Buffer
+			if err := bad.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			_, err = LoadFittedPipeline(&buf)
+			var ae *ArtifactError
+			if !errors.As(err, &ae) || ae.Code != ErrArtifactModel {
+				t.Fatalf("load err = %v, want artifact error %s", err, ErrArtifactModel)
+			}
+		})
 	}
 }

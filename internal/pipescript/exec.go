@@ -75,10 +75,6 @@ type Executor struct {
 	// record, when non-nil, collects fitted steps and the trained model
 	// into an artifact; set by Fit for the duration of one Execute.
 	record *FittedPipeline
-
-	// sh is the per-execution row sharder elementwise op loops fan out
-	// through, set by execute.
-	sh *sharder
 }
 
 // Execute validates and runs the program on copies of train/test. The
@@ -111,8 +107,6 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 	if maxOH <= 0 {
 		maxOH = 64
 	}
-	e.sh = newSharder(e.Metrics)
-	defer func() { e.sh = nil }()
 	res := &Result{Program: p}
 
 	trained := false
@@ -155,18 +149,7 @@ func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result,
 		// Parse guarantees registered ops; this is unreachable by construction.
 		return rtErr(st.Line, ErrBadOption, "unhandled statement %q", st.Op)
 	}
-	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained, sh: e.shardFor(spec)})
-}
-
-// shardFor gates the row-shard executor by op class: only elementwise
-// and whole-table ops carry row loops whose writes are provably
-// disjoint per row. Pure and stateful-fit ops run without a sharder
-// (train's matrix builds shard through e.sh explicitly).
-func (e *Executor) shardFor(spec *opSpec) *sharder {
-	if spec.class == opElementwise || spec.class == opWholeTable {
-		return e.sh
-	}
-	return nil
+	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained})
 }
 
 // requireCol resolves a column reference in a core statement.
@@ -196,7 +179,7 @@ func (e *Executor) execImpute(st Stmt, c *execCtx) error {
 	if ierr != nil {
 		return rtErr(st.Line, ErrTypeMismatch, "%v", ierr)
 	}
-	applyImpute(c.sh, col, num, str)
+	applyImpute(col, num, str)
 	return c.apply(FittedStep{Op: "impute", Col: col.Name, Num: num, Str: str}, st.Line, ErrBadOption)
 }
 
@@ -218,7 +201,7 @@ func (e *Executor) execImputeAll(st Stmt, c *execCtx) error {
 		if ierr != nil {
 			return rtErr(st.Line, ErrTypeMismatch, "%v", ierr)
 		}
-		applyImpute(c.sh, col, num, str)
+		applyImpute(col, num, str)
 		if err := c.apply(FittedStep{Op: "impute", Col: col.Name, Num: num, Str: str}, st.Line, ErrBadOption); err != nil {
 			return err
 		}
@@ -260,7 +243,7 @@ func (e *Executor) execClipOutliers(st Stmt, c *execCtx) error {
 	}
 	for _, col := range cols {
 		lo, hi := iqrBounds(col, factor)
-		clipColumn(c.sh, col, lo, hi)
+		clipColumn(col, lo, hi)
 		if col.Name != e.Target {
 			if err := c.apply(FittedStep{Op: "clip", Col: col.Name, Lo: lo, Hi: hi}, st.Line, ErrBadOption); err != nil {
 				return err
@@ -284,15 +267,11 @@ func (e *Executor) execRemoveOutliers(st Stmt, c *execCtx) error {
 	}
 	for _, col := range cols {
 		lo, hi := iqrBounds(col, factor)
-		// The keep-mask scan is elementwise (row i writes only keep[i]),
-		// so it shards like an apply loop.
-		c.sh.ranges("remove_outliers", col.Len(), func(rlo, rhi int) {
-			for i := rlo; i < rhi; i++ {
-				if !col.IsMissing(i) && (col.Num(i) < lo || col.Num(i) > hi) {
-					keep[i] = false
-				}
+		for i := 0; i < col.Len(); i++ {
+			if !col.IsMissing(i) && (col.Num(i) < lo || col.Num(i) > hi) {
+				keep[i] = false
 			}
-		})
+		}
 		// Evaluation rows are clipped (never dropped) so the test set
 		// size is preserved — except the target, which is ground truth.
 		if col.Name != e.Target {
@@ -338,7 +317,7 @@ func (e *Executor) execScale(st Stmt, c *execCtx) error {
 		if serr != nil {
 			return rtErr(st.Line, ErrBadOption, "%v", serr)
 		}
-		sp.apply(c.sh, col)
+		sp.apply(col)
 		// Like the outlier ops, the target is exempt on the test side:
 		// scaling held-out ground truth would corrupt RMSE (the train
 		// target may be scaled — the model just learns that scale).
@@ -369,7 +348,7 @@ func (e *Executor) execOnehot(st Stmt, c *execCtx) error {
 	if err := c.capOK(st.Line, "one-hot", col.Name, len(cats)); err != nil {
 		return err
 	}
-	if err := oneHot(c.sh, c.tr, col.Name, cats); err != nil {
+	if err := oneHot(c.tr, col.Name, cats); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "onehot", Col: col.Name, Cats: cats}, st.Line, ErrUnknownColumn)
@@ -387,7 +366,7 @@ func (e *Executor) execKhot(st Stmt, c *execCtx) error {
 	if err := c.capOK(st.Line, "k-hot", col.Name, len(items)); err != nil {
 		return err
 	}
-	if err := kHot(c.sh, c.tr, col.Name, items); err != nil {
+	if err := kHot(c.tr, col.Name, items); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "khot", Col: col.Name, Cats: items}, st.Line, ErrUnknownColumn)
@@ -402,7 +381,7 @@ func (e *Executor) execHashEncode(st Stmt, c *execCtx) error {
 	if perr != nil || buckets <= 0 {
 		return rtErr(st.Line, ErrBadOption, "bad buckets %q", st.Opt("buckets", ""))
 	}
-	if err := hashEncode(c.sh, c.tr, col.Name, buckets); err != nil {
+	if err := hashEncode(c.tr, col.Name, buckets); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "hash_encode", Col: col.Name, Buckets: buckets}, st.Line, ErrUnknownColumn)
@@ -417,7 +396,7 @@ func (e *Executor) execOrdinal(st Stmt, c *execCtx) error {
 	for i, cat := range topCategories(col, 1<<20) {
 		mapping[cat] = i
 	}
-	if err := ordinalEncode(c.sh, c.tr, col.Name, mapping); err != nil {
+	if err := ordinalEncode(c.tr, col.Name, mapping); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "ordinal", Col: col.Name, Mapping: mapping}, st.Line, ErrUnknownColumn)
@@ -471,7 +450,7 @@ func (e *Executor) execSplitComposite(st Stmt, c *execCtx) error {
 		return err
 	}
 	names := splitNames(st, col.Name)
-	if err := splitComposite(c.sh, c.tr, col.Name, names[0], names[1]); err != nil {
+	if err := splitComposite(c.tr, col.Name, names[0], names[1]); err != nil {
 		return rtErr(st.Line, ErrUnknownColumn, "%v", err)
 	}
 	return c.apply(FittedStep{Op: "split_composite", Col: col.Name,
@@ -486,7 +465,7 @@ func (e *Executor) execExtractToken(st Stmt, c *execCtx) error {
 	if col.Kind != data.KindString {
 		return rtErr(st.Line, ErrTypeMismatch, "extract_token needs a string column, %q is %s", col.Name, col.Kind)
 	}
-	extractToken(c.sh, col)
+	extractToken(col)
 	return c.apply(FittedStep{Op: "extract_token", Col: col.Name}, st.Line, "")
 }
 
@@ -503,7 +482,7 @@ func (e *Executor) execDedupValues(st Stmt, c *execCtx) error {
 	for raw, canon := range mapping {
 		byNormal[NormalizeValue(raw)] = canon
 	}
-	applyMapping(c.sh, col, mapping, byNormal)
+	applyMapping(col, mapping, byNormal)
 	return c.apply(FittedStep{Op: "dedup_values", Col: col.Name, ValueMap: mapping}, st.Line, "")
 }
 
@@ -661,8 +640,8 @@ func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
 		return rtErr(st.Line, ErrNaNInMatrix,
 			"input contains NaN: target column %q has %d missing values", target, tcol.MissingCount())
 	}
-	Xtr, featNames := matrix(e.sh, tr, target)
-	Xte, _ := matrixAligned(e.sh, te, featNames)
+	Xtr, featNames := matrix(tr, target)
+	Xte, _ := matrixAligned(te, featNames)
 	if len(Xtr) == 0 || len(featNames) == 0 {
 		return rtErr(st.Line, ErrEmptyData, "no usable feature columns at train time")
 	}
@@ -814,7 +793,7 @@ func argmax(v []float64) int {
 }
 
 // matrix extracts the numeric feature matrix and column order.
-func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
+func matrix(t *data.Table, target string) ([][]float64, []string) {
 	var names []string
 	var cols []*data.Column
 	for _, c := range t.Cols {
@@ -825,15 +804,13 @@ func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
 		cols = append(cols, c)
 	}
 	X := make([][]float64, t.NumRows())
-	sh.ranges("matrix", len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := make([]float64, len(cols))
-			for j, c := range cols {
-				row[j] = c.Num(i)
-			}
-			X[i] = row
+	for i := 0; i < len(X); i++ {
+		row := make([]float64, len(cols))
+		for j, c := range cols {
+			row[j] = c.Num(i)
 		}
-	})
+		X[i] = row
+	}
 	return X, names
 }
 
@@ -847,23 +824,21 @@ func matrix(sh *sharder, t *data.Table, target string) ([][]float64, []string) {
 // the strict version: it rejects absent/non-numeric/incomplete fitted
 // features with a typed ArtifactError before this zero-fill can skew
 // predictions.
-func matrixAligned(sh *sharder, t *data.Table, names []string) ([][]float64, []string) {
+func matrixAligned(t *data.Table, names []string) ([][]float64, []string) {
 	cols := make([]*data.Column, len(names))
 	for j, n := range names {
 		cols[j] = t.Col(n)
 	}
 	X := make([][]float64, t.NumRows())
-	sh.ranges("matrix", len(X), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			row := make([]float64, len(names))
-			for j, c := range cols {
-				if c != nil && c.Kind.IsNumeric() && i < c.Len() {
-					row[j] = c.Num(i)
-				}
+	for i := 0; i < len(X); i++ {
+		row := make([]float64, len(names))
+		for j, c := range cols {
+			if c != nil && c.Kind.IsNumeric() && i < c.Len() {
+				row[j] = c.Num(i)
 			}
-			X[i] = row
 		}
-	})
+		X[i] = row
+	}
 	return X, names
 }
 

@@ -280,7 +280,7 @@ func TestSplitCompositeOp(t *testing.T) {
 	}
 	// Verify via the low-level op too.
 	tb2 := tb.Clone()
-	if err := splitComposite(nil, tb2, "addr", "state", "zip"); err != nil {
+	if err := splitComposite(tb2, "addr", "state", "zip"); err != nil {
 		t.Fatal(err)
 	}
 	if tb2.Col("state").Str(0) != "CA" || tb2.Col("zip").Str(0) != "7050" {
@@ -293,7 +293,7 @@ func TestSplitCompositeOp(t *testing.T) {
 
 func TestExtractTokenOp(t *testing.T) {
 	c := data.NewString("s", []string{"about alpha", "roughly bravo or so", "congo (confirmed)"})
-	extractToken(nil, c)
+	extractToken(c)
 	want := []string{"alpha", "bravo", "congo"}
 	for i, w := range want {
 		if c.Str(i) != w {

@@ -77,20 +77,18 @@ func imputeValue(c *data.Column, strategy string) (num float64, str string, err 
 	}
 }
 
-func applyImpute(sh *sharder, c *data.Column, num float64, str string) {
-	sh.transform("impute", c, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if !v.IsMissing(i) {
-				continue
-			}
-			v.ClearMissing(i)
-			if v.Kind.IsNumeric() {
-				v.SetNum(i, num)
-			} else {
-				v.SetStr(i, str)
-			}
+func applyImpute(c *data.Column, num float64, str string) {
+	for i := 0; i < c.Len(); i++ {
+		if !c.IsMissing(i) {
+			continue
 		}
-	})
+		c.ClearMissing(i)
+		if c.Kind.IsNumeric() {
+			c.SetNum(i, num)
+		} else {
+			c.SetStr(i, str)
+		}
+	}
 }
 
 // iqrBounds computes [Q1-f*IQR, Q3+f*IQR] from a train column.
@@ -100,20 +98,18 @@ func iqrBounds(c *data.Column, factor float64) (lo, hi float64) {
 	return q1 - factor*iqr, q3 + factor*iqr
 }
 
-func clipColumn(sh *sharder, c *data.Column, lo, hi float64) {
-	sh.transform("clip", c, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			if v.Num(i) < lo {
-				v.SetNum(i, lo)
-			}
-			if v.Num(i) > hi {
-				v.SetNum(i, hi)
-			}
+func clipColumn(c *data.Column, lo, hi float64) {
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			continue
 		}
-	})
+		if c.Num(i) < lo {
+			c.SetNum(i, lo)
+		}
+		if c.Num(i) > hi {
+			c.SetNum(i, hi)
+		}
+	}
 }
 
 // scaleParams holds fitted scaling parameters for one column.
@@ -150,24 +146,20 @@ func fitScale(c *data.Column, method string) (scaleParams, error) {
 	}
 }
 
-func (sp scaleParams) apply(sh *sharder, c *data.Column) {
-	sh.transform("scale", c, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			switch sp.method {
-			case "standard":
-				v.SetNum(i, (v.Num(i)-sp.a)/sp.b)
-			case "minmax":
-				v.SetNum(i, (v.Num(i)-sp.a)/sp.b)
-			case "decimal":
-				v.SetNum(i, v.Num(i)/sp.a)
-			}
+func (sp scaleParams) apply(c *data.Column) {
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			continue
 		}
-	})
-	// Kind changes must land on the real column, not a shard view —
-	// they are hoisted out of the sharded body by construction.
+		switch sp.method {
+		case "standard":
+			c.SetNum(i, (c.Num(i)-sp.a)/sp.b)
+		case "minmax":
+			c.SetNum(i, (c.Num(i)-sp.a)/sp.b)
+		case "decimal":
+			c.SetNum(i, c.Num(i)/sp.a)
+		}
+	}
 	c.Kind = data.KindFloat
 }
 
@@ -197,7 +189,7 @@ func topCategories(c *data.Column, max int) []string {
 }
 
 // oneHot replaces col with 0/1 indicator columns for cats.
-func oneHot(sh *sharder, t *data.Table, col string, cats []string) error {
+func oneHot(t *data.Table, col string, cats []string) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
@@ -209,16 +201,14 @@ func oneHot(sh *sharder, t *data.Table, col string, cats []string) error {
 		idx[cat] = j
 		vals[j] = make([]float64, n)
 	}
-	sh.ranges("onehot", n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				continue
-			}
-			if j, ok := idx[c.ValueString(i)]; ok {
-				vals[j][i] = 1
-			}
+	for i := 0; i < n; i++ {
+		if c.IsMissing(i) {
+			continue
 		}
-	})
+		if j, ok := idx[c.ValueString(i)]; ok {
+			vals[j][i] = 1
+		}
+	}
 	t.DropColumn(col)
 	for j, cat := range cats {
 		if err := t.AddColumn(data.NewNumeric(encodedName(col, cat), vals[j])); err != nil {
@@ -229,7 +219,7 @@ func oneHot(sh *sharder, t *data.Table, col string, cats []string) error {
 }
 
 // kHot replaces a list column with per-item indicator columns.
-func kHot(sh *sharder, t *data.Table, col string, items []string) error {
+func kHot(t *data.Table, col string, items []string) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
@@ -241,18 +231,16 @@ func kHot(sh *sharder, t *data.Table, col string, items []string) error {
 		idx[item] = j
 		vals[j] = make([]float64, n)
 	}
-	sh.ranges("khot", n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				continue
-			}
-			for _, part := range strings.Split(c.Str(i), ",") {
-				if j, ok := idx[strings.TrimSpace(part)]; ok {
-					vals[j][i] = 1
-				}
+	for i := 0; i < n; i++ {
+		if c.IsMissing(i) {
+			continue
+		}
+		for _, part := range strings.Split(c.Str(i), ",") {
+			if j, ok := idx[strings.TrimSpace(part)]; ok {
+				vals[j][i] = 1
 			}
 		}
-	})
+	}
 	t.DropColumn(col)
 	for j, item := range items {
 		if err := t.AddColumn(data.NewNumeric(encodedName(col, item), vals[j])); err != nil {
@@ -303,23 +291,24 @@ func encodedName(col, cat string) string {
 }
 
 // hashEncode replaces a column with a single numeric bucket column.
-func hashEncode(sh *sharder, t *data.Table, col string, buckets int) error {
+func hashEncode(t *data.Table, col string, buckets int) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
 	}
+	if buckets <= 0 {
+		return fmt.Errorf("hash_encode needs buckets > 0, got %d", buckets)
+	}
 	vals := make([]float64, c.Len())
 	nc := data.NewNumeric(col+"__hash", vals)
-	sh.ranges("hash_encode", c.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				// Preserve the missing mask.
-				nc.SetMissing(i)
-				continue
-			}
-			vals[i] = float64(stringHash(c.ValueString(i)) % uint64(buckets))
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			// Preserve the missing mask.
+			nc.SetMissing(i)
+			continue
 		}
-	})
+		vals[i] = float64(stringHash(c.ValueString(i)) % uint64(buckets))
+	}
 	t.DropColumn(col)
 	return t.AddColumn(nc)
 }
@@ -333,32 +322,30 @@ func stringHash(s string) uint64 {
 }
 
 // ordinalEncode maps train categories to indices; unseen values become -1.
-func ordinalEncode(sh *sharder, t *data.Table, col string, mapping map[string]int) error {
+func ordinalEncode(t *data.Table, col string, mapping map[string]int) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
 	}
 	vals := make([]float64, c.Len())
-	sh.ranges("ordinal", c.Len(), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				vals[i] = -1
-				continue
-			}
-			if idx, ok := mapping[c.ValueString(i)]; ok {
-				vals[i] = float64(idx)
-			} else {
-				vals[i] = -1
-			}
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			vals[i] = -1
+			continue
 		}
-	})
+		if idx, ok := mapping[c.ValueString(i)]; ok {
+			vals[i] = float64(idx)
+		} else {
+			vals[i] = -1
+		}
+	}
 	t.DropColumn(col)
 	return t.AddColumn(data.NewNumeric(col+"__ord", vals))
 }
 
 // splitComposite splits values like "7050 CA" into a numeric-token part and
 // an alpha-token part, creating two new string columns.
-func splitComposite(sh *sharder, t *data.Table, col, nameA, nameB string) error {
+func splitComposite(t *data.Table, col, nameA, nameB string) error {
 	c := t.Col(col)
 	if c == nil {
 		return fmt.Errorf("column %q missing", col)
@@ -368,33 +355,31 @@ func splitComposite(sh *sharder, t *data.Table, col, nameA, nameB string) error 
 	num := make([]string, n)
 	alphaCol := data.NewString(nameA, alpha)
 	numCol := data.NewString(nameB, num)
-	sh.ranges("split_composite", n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			if c.IsMissing(i) {
-				alphaCol.SetMissing(i)
-				numCol.SetMissing(i)
-				continue
-			}
-			var alphaParts, numParts []string
-			for _, tok := range strings.Fields(c.Str(i)) {
-				if isNumericToken(tok) {
-					numParts = append(numParts, tok)
-				} else {
-					alphaParts = append(alphaParts, tok)
-				}
-			}
-			if len(alphaParts) == 0 {
-				alphaCol.SetMissing(i)
+	for i := 0; i < n; i++ {
+		if c.IsMissing(i) {
+			alphaCol.SetMissing(i)
+			numCol.SetMissing(i)
+			continue
+		}
+		var alphaParts, numParts []string
+		for _, tok := range strings.Fields(c.Str(i)) {
+			if isNumericToken(tok) {
+				numParts = append(numParts, tok)
 			} else {
-				alphaCol.SetStr(i, strings.Join(alphaParts, " "))
-			}
-			if len(numParts) == 0 {
-				numCol.SetMissing(i)
-			} else {
-				numCol.SetStr(i, strings.Join(numParts, " "))
+				alphaParts = append(alphaParts, tok)
 			}
 		}
-	})
+		if len(alphaParts) == 0 {
+			alphaCol.SetMissing(i)
+		} else {
+			alphaCol.SetStr(i, strings.Join(alphaParts, " "))
+		}
+		if len(numParts) == 0 {
+			numCol.SetMissing(i)
+		} else {
+			numCol.SetStr(i, strings.Join(numParts, " "))
+		}
+	}
 	t.DropColumn(col)
 	if err := t.AddColumn(alphaCol); err != nil {
 		return err
@@ -416,15 +401,13 @@ func isNumericToken(s string) bool {
 
 // extractToken rewrites each sentence cell to its content token (longest
 // non-stopword token), turning sentence columns into categoricals.
-func extractToken(sh *sharder, c *data.Column) {
-	sh.transform("extract_token", c, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			v.SetStr(i, ContentToken(v.Str(i)))
+func extractToken(c *data.Column) {
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			continue
 		}
-	})
+		c.SetStr(i, ContentToken(c.Str(i)))
+	}
 }
 
 // ContentToken returns the informative token of a sentence value: the
@@ -490,22 +473,20 @@ func DedupMapping(c *data.Column) map[string]string {
 
 // applyMapping rewrites string cells through the mapping; unmapped values
 // are normalized and re-looked-up so unseen test variants still collapse.
-func applyMapping(sh *sharder, c *data.Column, mapping map[string]string, byNormal map[string]string) {
-	sh.transform("dedup_values", c, func(v *data.Column) {
-		for i := 0; i < v.Len(); i++ {
-			if v.IsMissing(i) {
-				continue
-			}
-			s := v.Str(i)
-			if to, ok := mapping[s]; ok {
-				v.SetStr(i, to)
-				continue
-			}
-			if to, ok := byNormal[NormalizeValue(s)]; ok {
-				v.SetStr(i, to)
-			}
+func applyMapping(c *data.Column, mapping map[string]string, byNormal map[string]string) {
+	for i := 0; i < c.Len(); i++ {
+		if c.IsMissing(i) {
+			continue
 		}
-	})
+		s := c.Str(i)
+		if to, ok := mapping[s]; ok {
+			c.SetStr(i, to)
+			continue
+		}
+		if to, ok := byNormal[NormalizeValue(s)]; ok {
+			c.SetStr(i, to)
+		}
+	}
 }
 
 // rebalanceADASYN oversamples minority classes on the train table by
@@ -606,21 +587,19 @@ func augmentRegression(t *data.Table, target string, factor float64, seed int64)
 // the exact transforms the pipeline executor applies, so refined data and
 // pipeline-transformed data behave identically).
 
-// KHot replaces a list column with per-item indicator columns. The
-// exported wrappers run serially (nil sharder): catalog materialization
-// works on profile-sized samples where fan-out never pays.
-func KHot(t *data.Table, col string, items []string) error { return kHot(nil, t, col, items) }
+// KHot replaces a list column with per-item indicator columns.
+func KHot(t *data.Table, col string, items []string) error { return kHot(t, col, items) }
 
 // ListItems returns the sorted item vocabulary of a list column (capped).
 func ListItems(c *data.Column, max int) []string { return listItems(c, max) }
 
 // SplitComposite splits a mixed alpha/numeric composite column into two.
 func SplitComposite(t *data.Table, col, nameA, nameB string) error {
-	return splitComposite(nil, t, col, nameA, nameB)
+	return splitComposite(t, col, nameA, nameB)
 }
 
 // ExtractTokens rewrites sentence cells to their content tokens in place.
-func ExtractTokens(c *data.Column) { extractToken(nil, c) }
+func ExtractTokens(c *data.Column) { extractToken(c) }
 
 // ApplyValueMapping rewrites string cells through a raw→canonical mapping,
 // normalizing unmapped values before a second lookup.
@@ -629,5 +608,5 @@ func ApplyValueMapping(c *data.Column, mapping map[string]string) {
 	for raw, canon := range mapping {
 		byNormal[NormalizeValue(raw)] = canon
 	}
-	applyMapping(nil, c, mapping, byNormal)
+	applyMapping(c, mapping, byNormal)
 }

@@ -3,7 +3,6 @@ package pipescript
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
@@ -11,67 +10,54 @@ import (
 	"testing"
 
 	"catdb/internal/data"
-	"catdb/internal/obs"
 )
 
-// The shard sweep every equivalence test covers: chunk sizes from
-// pathological (every row its own task) through default-ish to
-// never-shards, crossed with pool sizes.
-var (
-	shardRowsSweep    = []int{1, 7, 4096, 1 << 30}
-	shardWorkersSweep = []int{1, 2, 8}
-)
+// These tests pin execution results across pool widths. Op row loops
+// run serially in the caller, but model fits, inference and the
+// profiler fan out over a GOMAXPROCS-wide pool, so every program must
+// produce bit-identical results and errors at any width.
 
-// setProcs sets the pool width (GOMAXPROCS) until the end of the test.
+// procsSweep is the set of pool widths (GOMAXPROCS) every equivalence
+// test runs against the GOMAXPROCS=1 baseline.
+var procsSweep = []int{1, 2, 8}
+
+// setProcs sets the pool width (GOMAXPROCS) until the end of the test;
+// cleanups restore in reverse order, so the original comes back however
+// often it is called.
 func setProcs(t testing.TB, n int) {
 	old := runtime.GOMAXPROCS(n)
 	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
 }
 
-// serialShard is a chunk size no column reaches: row sharding off.
-const serialShard = math.MaxInt
-
-// setShard sets the row-shard chunk size and the pool width
-// (GOMAXPROCS) until the end of the test; cleanups restore in reverse
-// order, so the originals come back however often it is called.
-func setShard(t testing.TB, sr, workers int) {
-	setProcs(t, workers)
-	old := shardRows
-	shardRows = sr
-	t.Cleanup(func() { shardRows = old })
-}
-
-// execShardWays runs the program with row sharding disabled (the serial
-// baseline) and then across the full (shardRows, workers) sweep,
-// requiring bit-identical results and errors everywhere.
+// execShardWays runs the program at GOMAXPROCS=1 (the baseline) and then
+// across procsSweep, requiring bit-identical results and errors
+// everywhere.
 func execShardWays(t *testing.T, src string, mk func() (*data.Table, *data.Table), target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
 	tr, te := mk()
-	setShard(t, serialShard, 1)
+	setProcs(t, 1)
 	base := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
 	wantRes, wantErr := base.Execute(p, tr, te)
-	for _, sr := range shardRowsSweep {
-		for _, w := range shardWorkersSweep {
-			tr, te := mk()
-			setShard(t, sr, w)
-			ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
-			gotRes, gotErr := ex.Execute(p, tr, te)
-			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
-			if (wantErr == nil) != (gotErr == nil) {
-				t.Fatalf("%s: baseline err=%v sharded err=%v", label, wantErr, gotErr)
+	for _, w := range procsSweep {
+		tr, te := mk()
+		setProcs(t, w)
+		ex := &Executor{Target: target, Task: task, Seed: 1, AllowNoTrain: true}
+		gotRes, gotErr := ex.Execute(p, tr, te)
+		label := fmt.Sprintf("GOMAXPROCS=%d", w)
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("%s: baseline err=%v got err=%v", label, wantErr, gotErr)
+		}
+		if wantErr != nil {
+			if wantErr.Error() != gotErr.Error() {
+				t.Fatalf("%s: error mismatch\nbaseline: %v\ngot:      %v", label, wantErr, gotErr)
 			}
-			if wantErr != nil {
-				if wantErr.Error() != gotErr.Error() {
-					t.Fatalf("%s: error mismatch\nbaseline: %v\nsharded:  %v", label, wantErr, gotErr)
-				}
-				continue
-			}
-			a, b := *wantRes, *gotRes
-			a.Program, b.Program = nil, nil
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: result mismatch\nbaseline: %+v\nsharded:  %+v", label, a, b)
-			}
+			continue
+		}
+		a, b := *wantRes, *gotRes
+		a.Program, b.Program = nil, nil
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: result mismatch\nbaseline: %+v\ngot:      %+v", label, a, b)
 		}
 	}
 	return wantRes, wantErr
@@ -145,9 +131,9 @@ train model=linear_regression target="y"
 `, mk, "y", data.Regression)
 }
 
-// Shard execution over CoW view inputs: SelectRows produces row-mapped
-// views sharing slabs with the source; BeginShardWrite must gather them
-// privately so the source table is untouched and results match serial.
+// Execution over CoW view inputs: SelectRows produces row-mapped views
+// sharing slabs with the source; the first write to a column gathers it
+// privately, so the source table is untouched at any pool width.
 func TestShardMatchesSerialOnCoWViews(t *testing.T) {
 	source := messyTable(700, 6)
 	mk := func() (*data.Table, *data.Table) {
@@ -174,7 +160,7 @@ train model=naive_bayes target="y"
 }
 
 // Error-carrying pipelines must raise the identical first error (same
-// line, code, message) at any shard setting, sharded or not.
+// line, code, message) at any pool width.
 func TestShardMatchesSerialErrors(t *testing.T) {
 	for _, src := range []string{
 		"pipeline \"e\"\nimpute \"nope\" strategy=median\ntrain target=\"y\"\n",
@@ -191,7 +177,7 @@ func TestShardMatchesSerialErrors(t *testing.T) {
 }
 
 // The one-hot feature-cap check must fire with the same error at the
-// same line at any shard setting: the 0.7 split keeps 4200 distinct
+// same line at any pool width: the 0.7 split keeps 4200 distinct
 // categories, over the 4096 cap.
 func TestShardMatchesSerialFeatureCap(t *testing.T) {
 	mk := func() (*data.Table, *data.Table) {
@@ -220,7 +206,7 @@ train target="y"
 	}
 }
 
-// Fitted artifacts must serialize byte-identically at any shard setting.
+// Fitted artifacts must serialize byte-identically at any pool width.
 func TestShardFitArtifactIdentical(t *testing.T) {
 	src := `pipeline "fit"
 impute "num" strategy=median
@@ -232,7 +218,7 @@ train model=random_forest target="y" trees=10
 `
 	p := mustParse(t, src)
 	tr, te := split(messyTable(400, 5), 9)
-	setShard(t, serialShard, runtime.GOMAXPROCS(0))
+	setProcs(t, 1)
 	base := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
 	_, wantFP, err := base.Fit(p, tr, te)
 	if err != nil {
@@ -242,27 +228,25 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sr := range shardRowsSweep {
-		for _, w := range shardWorkersSweep {
-			setShard(t, sr, w)
-			ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
-			_, gotFP, err := ex.Fit(p, tr, te)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := json.Marshal(gotFP)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if string(want) != string(got) {
-				t.Fatalf("shardRows=%d workers=%d: artifact differs\nbaseline: %s\nsharded:  %s", sr, w, want, got)
-			}
+	for _, w := range procsSweep {
+		setProcs(t, w)
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 2}
+		_, gotFP, err := ex.Fit(p, tr, te)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(gotFP)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(want) != string(got) {
+			t.Fatalf("GOMAXPROCS=%d: artifact differs\nbaseline: %s\ngot:      %s", w, want, got)
 		}
 	}
 }
 
-// Randomized programs: row sharding must reproduce serial execution
-// (results and errors) whatever the program shape.
+// Randomized programs: every pool width must reproduce the GOMAXPROCS=1
+// execution (results and errors) whatever the program shape.
 func TestShardPropertyRandomPrograms(t *testing.T) {
 	mk := func() (*data.Table, *data.Table) {
 		n := 240
@@ -299,94 +283,8 @@ func TestShardPropertyRandomPrograms(t *testing.T) {
 	}
 }
 
-// Shard task counters depend only on (row count, shardRows) — never on
-// the worker count — so observability stays deterministic under any
-// parallelism.
-func TestShardMetricsDeterministic(t *testing.T) {
-	src := `pipeline "m"
-impute "num" strategy=median
-dedup_values "cat"
-onehot "cat"
-khot "lst"
-scale "num" method=standard
-train model=naive_bayes target="y"
-`
-	p := mustParse(t, src)
-	counters := func(w int) map[string]int64 {
-		tr, te := split(messyTable(900, 4), 5)
-		reg := obs.NewRegistry()
-		setShard(t, 64, w)
-		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Metrics: reg}
-		if _, err := ex.Execute(p, tr, te); err != nil {
-			t.Fatal(err)
-		}
-		return map[string]int64{
-			"impute": reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(),
-			"dedup":  reg.Counter("catdb_shard_tasks_total", "op", "dedup_values").Value(),
-			"onehot": reg.Counter("catdb_shard_tasks_total", "op", "onehot").Value(),
-			"scale":  reg.Counter("catdb_shard_tasks_total", "op", "scale").Value(),
-			"matrix": reg.Counter("catdb_shard_tasks_total", "op", "matrix").Value(),
-		}
-	}
-	want := counters(1)
-	for op, v := range want {
-		if v == 0 {
-			t.Fatalf("op %s recorded no shard tasks at shardRows=64: %+v", op, want)
-		}
-	}
-	for _, w := range shardWorkersSweep[1:] {
-		if got := counters(w); !reflect.DeepEqual(want, got) {
-			t.Fatalf("workers=%d: shard task counters diverge\nwant %+v\ngot  %+v", w, want, got)
-		}
-	}
-	// Sharding disabled must record nothing.
-	tr, te := split(messyTable(900, 4), 5)
-	reg := obs.NewRegistry()
-	setShard(t, serialShard, 4)
-	ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Metrics: reg}
-	if _, err := ex.Execute(p, tr, te); err != nil {
-		t.Fatal(err)
-	}
-	if got := reg.Counter("catdb_shard_tasks_total", "op", "impute").Value(); got != 0 {
-		t.Fatalf("serial shard size still recorded %d shard tasks", got)
-	}
-}
-
-// Every registered op carries a sharding class consistent with its pure
-// flag, and the elementwise set is exactly the ops whose handlers route
-// row loops through the sharder.
-func TestOpShardClasses(t *testing.T) {
-	elementwise := map[string]bool{
-		"impute": true, "impute_all": true, "clip_outliers": true, "scale": true,
-		"onehot": true, "khot": true, "hash_encode": true, "ordinal": true,
-		"split_composite": true, "extract_token": true, "dedup_values": true,
-		"bin_numeric": true, "log_transform": true, "interaction": true,
-		"winsorize": true, "target_encode": true,
-	}
-	seen := 0
-	for name, spec := range opRegistry {
-		switch spec.class {
-		case opPure, opElementwise, opStatefulFit, opWholeTable:
-		default:
-			t.Fatalf("op %q has an invalid shard class %d", name, spec.class)
-		}
-		if spec.pure != (spec.class == opPure) {
-			t.Fatalf("op %q: pure=%v but class=%d", name, spec.pure, spec.class)
-		}
-		if elementwise[name] != (spec.class == opElementwise) {
-			t.Fatalf("op %q: elementwise classification mismatch (class=%d)", name, spec.class)
-		}
-		if spec.class == opElementwise {
-			seen++
-		}
-	}
-	if seen != len(elementwise) {
-		t.Fatalf("expected %d elementwise ops, registry has %d", len(elementwise), seen)
-	}
-}
-
-// The serving path: Transform and Predict must be bit-identical across
-// shard settings and worker counts.
+// The serving path: Transform and Predict must be bit-identical at any
+// pool width.
 func TestServingShardIdentical(t *testing.T) {
 	src := `pipeline "serve"
 impute "num" strategy=median
@@ -406,7 +304,7 @@ train model=random_forest target="y" trees=10
 	batch := messyTable(400, 9)
 	batch.DropColumn("y")
 
-	setShard(t, serialShard, 1)
+	setProcs(t, 1)
 	wantT, err := fp.Transform(batch)
 	if err != nil {
 		t.Fatal(err)
@@ -415,39 +313,37 @@ train model=random_forest target="y" trees=10
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, sr := range shardRowsSweep {
-		for _, w := range shardWorkersSweep {
-			setShard(t, sr, w)
-			gotT, err := fp.Transform(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			label := fmt.Sprintf("shardRows=%d workers=%d", sr, w)
-			if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
-			}
-			for _, name := range wantT.ColumnNames() {
-				wc, gc := wantT.Col(name), gotT.Col(name)
-				for i := 0; i < wc.Len(); i++ {
-					if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
-						t.Fatalf("%s: column %q row %d differs (%q vs %q)",
-							label, name, i, wc.ValueString(i), gc.ValueString(i))
-					}
+	for _, w := range procsSweep {
+		setProcs(t, w)
+		gotT, err := fp.Transform(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		label := fmt.Sprintf("GOMAXPROCS=%d", w)
+		if got, want := gotT.ColumnNames(), wantT.ColumnNames(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: transformed columns %v, want %v", label, got, want)
+		}
+		for _, name := range wantT.ColumnNames() {
+			wc, gc := wantT.Col(name), gotT.Col(name)
+			for i := 0; i < wc.Len(); i++ {
+				if wc.ValueString(i) != gc.ValueString(i) || wc.IsMissing(i) != gc.IsMissing(i) {
+					t.Fatalf("%s: column %q row %d differs (%q vs %q)",
+						label, name, i, wc.ValueString(i), gc.ValueString(i))
 				}
 			}
-			gotP, err := fp.Predict(batch)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(wantP, gotP) {
-				t.Fatalf("%s: predictions differ", label)
-			}
+		}
+		gotP, err := fp.Predict(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(wantP, gotP) {
+			t.Fatalf("%s: predictions differ", label)
 		}
 	}
 }
 
 // A serving step failure surfaces as the first failing step in step
-// order (step index, op, wrapped error) at any shard setting.
+// order (step index, op, wrapped error) at any pool width.
 func TestServingStepErrorIdentical(t *testing.T) {
 	fp := &FittedPipeline{
 		Version: ArtifactVersion,
@@ -462,13 +358,11 @@ func TestServingStepErrorIdentical(t *testing.T) {
 	tab.MustAddColumn(data.NewNumeric("b", []float64{1, 2}))
 	tab.MustAddColumn(data.NewNumeric("c", []float64{1, 2}))
 	const want = `pipescript: artifact error [E_STEP_FAILED]: step 1 (no_such_op on "b"): unknown fitted step "no_such_op"`
-	for _, sr := range shardRowsSweep {
-		for _, w := range shardWorkersSweep {
-			setShard(t, sr, w)
-			_, err := fp.Transform(tab)
-			if err == nil || err.Error() != want {
-				t.Fatalf("shardRows=%d workers=%d: got error %v, want %s", sr, w, err, want)
-			}
+	for _, w := range procsSweep {
+		setProcs(t, w)
+		_, err := fp.Transform(tab)
+		if err == nil || err.Error() != want {
+			t.Fatalf("GOMAXPROCS=%d: got error %v, want %s", w, err, want)
 		}
 	}
 }

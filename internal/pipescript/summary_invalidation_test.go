@@ -56,7 +56,7 @@ func TestImputeInvalidatesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	applyImpute(nil, c, num, str)
+	applyImpute(c, num, str)
 	if c.MissingCount() != 0 {
 		t.Fatal("impute left missing count stale")
 	}
@@ -66,7 +66,7 @@ func TestImputeInvalidatesSummary(t *testing.T) {
 func TestClipInvalidatesSummary(t *testing.T) {
 	c := numColWithMissing()
 	warmStats(c)
-	clipColumn(nil, c, 2, 6)
+	clipColumn(c, 2, 6)
 	if got := c.NumericStats().Max; got != 6 {
 		t.Fatalf("max after clip = %g, want 6 (stale summary)", got)
 	}
@@ -80,7 +80,7 @@ func TestScaleInvalidatesSummary(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sp.apply(nil, c)
+	sp.apply(c)
 	if got := c.NumericStats().Mean; math.Abs(got) > 1e-9 {
 		t.Fatalf("mean after standard scale = %g, want ~0 (stale summary)", got)
 	}
@@ -90,7 +90,7 @@ func TestScaleInvalidatesSummary(t *testing.T) {
 func TestExtractTokenInvalidatesSummary(t *testing.T) {
 	c := data.NewString("s", []string{"red car fast", "blue car slow", "red car fast"})
 	warmStats(c)
-	extractToken(nil, c)
+	extractToken(c)
 	assertSummaryFresh(t, c, "extractToken")
 }
 
@@ -108,7 +108,7 @@ func TestSplitCompositeInvalidatesSummary(t *testing.T) {
 	tab := data.NewTable("t")
 	tab.MustAddColumn(data.NewString("code", []string{"ab 1", "cd 2", "ab 3"}))
 	warmStats(tab.Col("code"))
-	if err := splitComposite(nil, tab, "code", "code_part", "code_num"); err != nil {
+	if err := splitComposite(tab, "code", "code_part", "code_num"); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"code_part", "code_num"} {

@@ -48,38 +48,39 @@ var transformBuckets = append([]float64{0.00001, 0.00005, 0.0001, 0.0005}, obs.D
 
 // apply applies one recorded step to a table. Columns absent from the
 // batch are skipped, matching how the executor treats the evaluation
-// split; this is the single implementation both paths share. The
-// sharder routes elementwise row loops over the pool (nil = serial);
-// results are bit-identical either way.
-func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
+// split; this is the single implementation both paths share.
+func (s *FittedStep) apply(t *data.Table) error {
+	if err := s.checkKind(t); err != nil {
+		return err
+	}
 	switch s.Op {
 	case "impute":
 		if c := t.Col(s.Col); c != nil {
-			applyImpute(sh, c, s.Num, s.Str)
+			applyImpute(c, s.Num, s.Str)
 		}
 	case "clip":
 		if c := t.Col(s.Col); c != nil {
-			clipColumn(sh, c, s.Lo, s.Hi)
+			clipColumn(c, s.Lo, s.Hi)
 		}
 	case "scale":
 		if c := t.Col(s.Col); c != nil {
-			scaleParams{method: s.Method, a: s.A, b: s.B}.apply(sh, c)
+			scaleParams{method: s.Method, a: s.A, b: s.B}.apply(c)
 		}
 	case "onehot":
 		if t.Col(s.Col) != nil {
-			return oneHot(sh, t, s.Col, s.Cats)
+			return oneHot(t, s.Col, s.Cats)
 		}
 	case "khot":
 		if t.Col(s.Col) != nil {
-			return kHot(sh, t, s.Col, s.Cats)
+			return kHot(t, s.Col, s.Cats)
 		}
 	case "hash_encode":
 		if t.Col(s.Col) != nil {
-			return hashEncode(sh, t, s.Col, s.Buckets)
+			return hashEncode(t, s.Col, s.Buckets)
 		}
 	case "ordinal":
 		if t.Col(s.Col) != nil {
-			return ordinalEncode(sh, t, s.Col, s.Mapping)
+			return ordinalEncode(t, s.Col, s.Mapping)
 		}
 	case "drop":
 		for _, name := range s.Cols {
@@ -87,11 +88,11 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 		}
 	case "split_composite":
 		if t.Col(s.Col) != nil {
-			return splitComposite(sh, t, s.Col, s.Name, s.NameB)
+			return splitComposite(t, s.Col, s.Name, s.NameB)
 		}
 	case "extract_token":
 		if c := t.Col(s.Col); c != nil {
-			extractToken(sh, c)
+			extractToken(c)
 		}
 	case "dedup_values":
 		if c := t.Col(s.Col); c != nil {
@@ -99,21 +100,21 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 			for raw, canon := range s.ValueMap {
 				byNormal[NormalizeValue(raw)] = canon
 			}
-			applyMapping(sh, c, s.ValueMap, byNormal)
+			applyMapping(c, s.ValueMap, byNormal)
 		}
 	case "bin_numeric":
 		if c := t.Col(s.Col); c != nil {
-			binifyColumn(sh, c, s.Edges)
+			binifyColumn(c, s.Edges)
 		}
 	case "log_transform":
 		if c := t.Col(s.Col); c != nil {
-			logTransformColumn(sh, c)
+			logTransformColumn(c)
 		}
 	case "interaction":
-		return buildInteraction(sh, t, s.Col, s.ColB, s.Method, s.Name)
+		return buildInteraction(t, s.Col, s.ColB, s.Method, s.Name)
 	case "target_encode":
 		if t.Col(s.Col) != nil {
-			return smoothedMeanEncode(sh, t, s.Col, s.Sums, s.Counts, s.Global)
+			return smoothedMeanEncode(t, s.Col, s.Sums, s.Counts, s.Global)
 		}
 	default:
 		return fmt.Errorf("unknown fitted step %q", s.Op)
@@ -121,18 +122,45 @@ func (s *FittedStep) apply(sh *sharder, t *data.Table) error {
 	return nil
 }
 
+// stepReadsNumeric names the ops whose row loops read their source
+// columns through Num (true) or Str (false). Other ops read any kind
+// through ValueString.
+var stepReadsNumeric = map[string]bool{
+	"clip": true, "scale": true, "bin_numeric": true, "log_transform": true, "interaction": true,
+	"khot": false, "split_composite": false, "extract_token": false, "dedup_values": false, "target_encode": false,
+}
+
+// checkKind rejects a present source column whose kind the step's row
+// loop cannot read: a numeric loop over a string column (or the reverse)
+// would index a slab the column does not have. The executor checks kinds
+// on the train split before fitting, so this fires only on batches whose
+// schema drifted from the fit, or on a corrupt artifact.
+func (s *FittedStep) checkKind(t *data.Table) error {
+	numeric, ok := stepReadsNumeric[s.Op]
+	if !ok {
+		return nil
+	}
+	cols := []string{s.Col}
+	if s.Op == "interaction" {
+		cols = append(cols, s.ColB)
+	}
+	for _, name := range cols {
+		if c := t.Col(name); c != nil && c.Kind.IsNumeric() != numeric {
+			return fmt.Errorf("column %q is %s, which %s cannot read", name, c.Kind, s.Op)
+		}
+	}
+	return nil
+}
+
 // Transform applies the recorded preprocessing steps to a clone of t,
 // returning the feature-space view of the batch. The input table is
-// never mutated. Steps apply in recorded order; elementwise row loops
-// shard over the pool, and the output is bit-identical to the serial
-// loop.
+// never mutated. Steps apply in recorded order.
 func (fp *FittedPipeline) Transform(t *data.Table) (*data.Table, error) {
 	out := t.Clone()
-	sh := newSharder(fp.Metrics)
 	for i := range fp.Steps {
 		step := &fp.Steps[i]
 		start := obs.Now()
-		if err := step.apply(sh, out); err != nil {
+		if err := step.apply(out); err != nil {
 			return nil, artErr(ErrStepFailed, "step %d (%s on %q): %v", i, step.Op, step.Col, err)
 		}
 		// Nil-registry calls are free, so no conditional is needed here.
@@ -156,10 +184,19 @@ type Predictions struct {
 	Proba  [][]float64
 }
 
-// liveModel reconstructs (once) the model the artifact carries.
+// liveModel reconstructs (once) the model the artifact carries. The
+// task picks the scorer Predict calls and each class index names one
+// label, so a regression task needs a model without classes and a
+// classification task one label per model class.
 func (fp *FittedPipeline) liveModel() (any, error) {
 	if fp.model != nil {
 		return fp.model, nil
+	}
+	classes := fp.Model.Classes
+	if regression := fp.Task == data.Regression.String(); regression != (classes == 0) ||
+		(!regression && len(fp.Classes) != classes) {
+		return nil, artErr(ErrArtifactModel, "task %q with %d class labels does not fit a model with %d classes",
+			fp.Task, len(fp.Classes), classes)
 	}
 	m, err := fp.Model.Model(len(fp.Features))
 	if err != nil {
@@ -218,7 +255,7 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 				"fitted feature %q has %d missing values in the batch", name, c.MissingCount())
 		}
 	}
-	X, _ := matrixAligned(newSharder(fp.Metrics), tt, fp.Features)
+	X, _ := matrixAligned(tt, fp.Features)
 	m, err := fp.liveModel()
 	if err != nil {
 		return nil, err
@@ -242,9 +279,7 @@ func (fp *FittedPipeline) predict(t *data.Table) (*Predictions, error) {
 	for i, row := range out.Proba {
 		idx := argmax(row)
 		out.Values[i] = float64(idx)
-		if idx < len(fp.Classes) {
-			out.Labels[i] = fp.Classes[idx]
-		}
+		out.Labels[i] = fp.Classes[idx]
 	}
 	return out, nil
 }
