@@ -116,7 +116,8 @@ lint-http:
 # so no layer re-declares a worker count, shard size or chunk size.
 # Fail on a Workers/ShardRows/ChunkBytes struct field or a
 # -workers/-shard-rows/-ingest-workers/-chunk-bytes flag in non-test Go
-# (tests sweep these through in-package seams).
+# (tests sweep these through in-package seams). Column statistics have
+# one exact path, so a -summary-backend flag fails here too.
 lint-knobs:
 	@matches=$$(grep -rnE '^[[:space:]]*(Exec)?(Workers|ShardRows|ChunkBytes)[[:space:],]' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$matches" ]; then \
@@ -124,9 +125,9 @@ lint-knobs:
 		echo "$$matches"; \
 		exit 1; \
 	fi
-	@matches=$$(grep -rnE '"-{0,2}(workers|shard-rows|ingest-workers|chunk-bytes)"' --include='*.go' --exclude='*_test.go' .); \
+	@matches=$$(grep -rnE '"-{0,2}(workers|shard-rows|ingest-workers|chunk-bytes|summary-backend)"' --include='*.go' --exclude='*_test.go' .); \
 	if [ -n "$$matches" ]; then \
-		echo "lint-knobs: wall-time knob flag (GOMAXPROCS is the one concurrency control):"; \
+		echo "lint-knobs: knob flag (GOMAXPROCS is the one concurrency control; statistics have one path):"; \
 		echo "$$matches"; \
 		exit 1; \
 	fi
@@ -140,12 +141,15 @@ lint-fmt:
 		exit 1; \
 	fi
 
-# Fitted-pipeline artifacts are untrusted input: fuzz LoadFittedPipeline
-# followed by Predict for a short fixed time on top of the seed corpus
-# (plain go test runs the seeds alone). A crasher lands in
-# internal/pipescript/testdata/fuzz/ and is committed as a regression seed.
+# Fitted-pipeline artifacts and CSV data are untrusted input: fuzz
+# LoadFittedPipeline followed by Predict, and ReadCSV against the legacy
+# reader, each for a short fixed time on top of its seed corpus (plain go
+# test runs the seeds alone). A crasher lands in the package's
+# testdata/fuzz/ and is committed as a regression seed. Minimizing a new
+# interesting input may otherwise take the whole budget, so it is capped.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadFittedPipeline$$' -fuzztime=10s ./internal/pipescript/
+	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/data/
 
 verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-optable lint-opbody lint-http lint-knobs test race fuzz
 

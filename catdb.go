@@ -78,19 +78,6 @@ func LoadDataset(name string, scale float64) (*Dataset, error) {
 // DatasetNames lists the built-in datasets in Table 3 order.
 func DatasetNames() []string { return data.Names() }
 
-// SummaryBackend selects how column statistics are computed:
-// exact (bit-identical full-fidelity path), sketch (mergeable one-pass
-// sketches, no sorted copies), or auto (sketch at scale).
-type SummaryBackend = data.SummaryBackend
-
-// ParseSummaryBackend parses a -summary-backend flag value
-// ("exact" | "sketch" | "auto").
-func ParseSummaryBackend(s string) (SummaryBackend, error) { return data.ParseSummaryBackend(s) }
-
-// SetDefaultSummaryBackend installs the process-wide statistics backend
-// used wherever no explicit backend is passed.
-func SetDefaultSummaryBackend(b SummaryBackend) { data.SetDefaultSummaryBackend(b) }
-
 // ReadCSV loads a single-table dataset from a CSV stream; target and task
 // describe the prediction problem. The parse fans record-aligned chunks
 // out over GOMAXPROCS goroutines; the table is identical at any setting.

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"catdb/internal/bench"
-	"catdb/internal/data"
 	"catdb/internal/obs"
 	"catdb/internal/obs/ledger"
 	"catdb/internal/obs/opsserver"
@@ -38,7 +37,6 @@ func main() {
 	seed := flag.Int64("seed", 1, "random seed")
 	iters := flag.Int("iterations", 10, "iterations for fig11/fig12/table2")
 	fast := flag.Bool("fast", false, "trimmed datasets and iterations")
-	summaryBackend := flag.String("summary-backend", "", "column statistics backend: exact|sketch|auto (default exact)")
 	outPath := flag.String("out", "", "also write the report to this file")
 	progress := flag.Bool("progress", false, "print one line per completed experiment cell to stderr")
 	traceOut := flag.String("trace-out", "", "write per-cell span traces to this file (.jsonl = JSON lines, otherwise a human-readable tree)")
@@ -99,12 +97,6 @@ func main() {
 	if *progress {
 		progressW = os.Stderr
 	}
-	backend, err := data.ParseSummaryBackend(*summaryBackend)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "catdb-bench:", err)
-		os.Exit(2)
-	}
-	data.SetDefaultSummaryBackend(backend)
 	cfg := bench.Config{
 		Scale: *scale, Seed: *seed, Iterations: *iters, Fast: *fast, Out: out,
 		Tracer: tracer, Metrics: metrics, Progress: progressW, Ledger: ledgerW,

@@ -95,7 +95,6 @@ func startOps(addr string, tracer *catdb.Tracer, metrics *catdb.Metrics) (func()
 type dsFlags struct {
 	dataset, csv, target, task *string
 	scale                      *float64
-	summaryBackend             *string
 }
 
 // datasetFlags adds the shared dataset-selection flags.
@@ -106,16 +105,10 @@ func datasetFlags(fs *flag.FlagSet) *dsFlags {
 	f.target = fs.String("target", "", "target column (required with -csv)")
 	f.task = fs.String("task", "binary", "task type with -csv: binary|multiclass|regression")
 	f.scale = fs.Float64("scale", 0.2, "row-count scale for built-in datasets")
-	f.summaryBackend = fs.String("summary-backend", "auto", "column statistics backend: exact|sketch|auto (auto sketches at scale)")
 	return f
 }
 
 func (f *dsFlags) load() (*catdb.Dataset, error) {
-	backend, err := catdb.ParseSummaryBackend(*f.summaryBackend)
-	if err != nil {
-		return nil, err
-	}
-	catdb.SetDefaultSummaryBackend(backend)
 	if *f.dataset != "" {
 		return catdb.LoadDataset(*f.dataset, *f.scale)
 	}

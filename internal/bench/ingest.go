@@ -12,16 +12,15 @@ import (
 
 // IngestRow is one table size's ingest + summary measurement: cold CSV
 // parse serial vs chunked-parallel (Procs is the pool width of the
-// parallel parse), and summary build exact vs sketch.
+// parallel parse), and the cold column-summary build.
 type IngestRow struct {
-	Rows          int
-	Cols          int
-	Bytes         int
-	Serial        time.Duration
-	Parallel      time.Duration
-	Procs         int
-	ExactSummary  time.Duration
-	SketchSummary time.Duration
+	Rows     int
+	Cols     int
+	Bytes    int
+	Serial   time.Duration
+	Parallel time.Duration
+	Procs    int
+	Summary  time.Duration
 }
 
 // IngestResult holds the ingest-scaling measurements.
@@ -55,10 +54,10 @@ func syntheticIngestCSV(rows int, seed int64) []byte {
 
 // RunIngestScaling measures cold CSV ingest (the same chunked parse
 // under runtime.GOMAXPROCS(1), then at the process's GOMAXPROCS) and
-// column-summary builds (exact sorted-copy vs mergeable sketches) over
-// synthetic mixed-kind tables. Cells run serially — this experiment
-// times wall clock, so concurrent cells would contaminate each other,
-// and the serial arm may narrow the process-wide pool for its duration.
+// the cold column-summary build over synthetic mixed-kind tables. Cells
+// run serially — this experiment times wall clock, so concurrent cells
+// would contaminate each other, and the serial arm may narrow the
+// process-wide pool for its duration.
 func RunIngestScaling(cfg Config) (*IngestResult, error) {
 	cfg = cfg.withDefaults()
 	procs := runtime.GOMAXPROCS(0)
@@ -86,27 +85,21 @@ func RunIngestScaling(cfg Config) (*IngestResult, error) {
 
 		start = time.Now()
 		for _, c := range t.Cols {
-			c.SummaryWith(data.SummaryExact)
+			c.Summary()
 		}
-		row.ExactSummary = time.Since(start)
-
-		start = time.Now()
-		for _, c := range t.Cols {
-			c.SummaryWith(data.SummarySketch)
-		}
-		row.SketchSummary = time.Since(start)
+		row.Summary = time.Since(start)
 
 		res.Rows = append(res.Rows, row)
 	}
 
-	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", procs), "ExactSum[ms]", "SketchSum[ms]"}}
+	tb := &table{header: []string{"Rows", "Cols", "MiB", "Serial[ms]", fmt.Sprintf("Parallel[ms] (w=%d)", procs), "Summary[ms]"}}
 	for _, r := range res.Rows {
 		tb.add(fmt.Sprint(r.Rows), fmt.Sprint(r.Cols),
 			fmt.Sprintf("%.1f", float64(r.Bytes)/(1<<20)),
 			millis(r.Serial), millis(r.Parallel),
-			millis(r.ExactSummary), millis(r.SketchSummary))
+			millis(r.Summary))
 	}
-	tb.render(cfg.Out, "Ingest scaling: chunked CSV parse and summary backends")
+	tb.render(cfg.Out, "Ingest scaling: chunked CSV parse and column summaries")
 	return res, nil
 }
 

@@ -96,9 +96,8 @@ type Column struct {
 	store *colStore
 	rows  []int // view row mapping into store; nil = identity over the full store
 
-	version     atomic.Uint64                // bumped by every mutating accessor
-	cache       atomic.Pointer[summaryEntry] // last computed exact Summary, if current
-	cacheSketch atomic.Pointer[summaryEntry] // last computed sketch Summary, if current
+	version atomic.Uint64                // bumped by every mutating accessor
+	cache   atomic.Pointer[summaryEntry] // last computed Summary, if current
 }
 
 // NewNumeric returns a float column over vals with no missing cells; it

@@ -11,7 +11,7 @@ import (
 )
 
 // The Ingest* benchmarks measure cold CSV parse (serial and
-// chunked-parallel) and cold summary builds (exact vs sketch) on
+// chunked-parallel) and cold exact summary builds on
 // synthetic mixed-kind tables. With BENCH_BASELINE=ingest the parse
 // benchmarks run the old ReadAll-based reader (readCSVLegacy) so the
 // committed BENCH_ingest.json baseline can be re-captured:
@@ -81,9 +81,9 @@ func BenchmarkIngestParallel100k(b *testing.B) { benchIngestParse(b, ingestBench
 func BenchmarkIngestParallel1M(b *testing.B)   { benchIngestParse(b, ingestBenchLarge, 0) }
 
 // benchIngestSummary times a cold summary build over every column of the
-// parsed table. It calls the compute functions directly (not SummaryWith)
-// so the per-column memo cache never hides the work being measured.
-func benchIngestSummary(b *testing.B, rows int, backend SummaryBackend) {
+// parsed table. It calls computeSummary directly (not Summary) so the
+// per-column memo cache never hides the work being measured.
+func benchIngestSummary(b *testing.B, rows int) {
 	t, err := ReadCSV(bytes.NewReader(ingestBenchCSV(rows)), "bench")
 	if err != nil {
 		b.Fatal(err)
@@ -91,24 +91,10 @@ func benchIngestSummary(b *testing.B, rows int, backend SummaryBackend) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, c := range t.Cols {
-			if backend == SummarySketch {
-				_ = c.computeSummarySketch()
-			} else {
-				_ = c.computeSummary()
-			}
+			_ = c.computeSummary()
 		}
 	}
 }
 
-func BenchmarkIngestSummaryExact100k(b *testing.B) {
-	benchIngestSummary(b, ingestBenchSmall, SummaryExact)
-}
-func BenchmarkIngestSummaryExact1M(b *testing.B) {
-	benchIngestSummary(b, ingestBenchLarge, SummaryExact)
-}
-func BenchmarkIngestSummarySketch100k(b *testing.B) {
-	benchIngestSummary(b, ingestBenchSmall, SummarySketch)
-}
-func BenchmarkIngestSummarySketch1M(b *testing.B) {
-	benchIngestSummary(b, ingestBenchLarge, SummarySketch)
-}
+func BenchmarkIngestSummaryExact100k(b *testing.B) { benchIngestSummary(b, ingestBenchSmall) }
+func BenchmarkIngestSummaryExact1M(b *testing.B)   { benchIngestSummary(b, ingestBenchLarge) }

@@ -77,10 +77,10 @@ func requireTablesEqual(t *testing.T, want, got *Table, label string) {
 // requireIngestMatchesLegacy parses input through the legacy serial reader
 // and through the chunked reader at every grid point, requiring identical
 // tables (or identical error-ness).
-func requireIngestMatchesLegacy(t *testing.T, input, label string) {
+func requireIngestMatchesLegacy(t *testing.T, input, label string, grid []ingestSetting) {
 	t.Helper()
 	want, wantErr := readCSVLegacy(strings.NewReader(input), "x")
-	for _, s := range ingestGrid {
+	for _, s := range grid {
 		tag := fmt.Sprintf("%s w=%d cb=%d", label, s.workers, s.chunk)
 		got, err := readCSVAt(input, s)
 		if wantErr != nil {
@@ -101,37 +101,39 @@ func requireIngestMatchesLegacy(t *testing.T, input, label string) {
 	}
 }
 
-// The CSV edge-case goldens of the issue: quoted fields containing newlines
-// and commas, CRLF endings, UTF-8 BOM, empty trailing lines, ragged
-// records — each pinned byte-identical between the serial and
-// chunked-parallel readers across worker counts and chunk sizes.
+// ingestGoldens are the CSV edge cases: quoted fields containing
+// newlines and commas, CRLF endings, UTF-8 BOM, empty trailing lines,
+// ragged records. TestIngestEdgeCaseGoldens pins each byte-identical
+// between the legacy and chunked-parallel readers across worker counts
+// and chunk sizes; FuzzReadCSV starts from them.
+var ingestGoldens = map[string]string{
+	"plain":          "a,b,c\n1,2.5,x\n3,4.5,y\n",
+	"no trailing nl": "a,b\n1,x\n2,y",
+	"quoted newline": "a,b\n\"line1\nline2\",1\n\"more\r\nlines\",2\n",
+	"quoted comma":   "a,b\n\"x,y\",1\n\"\"\"quoted\"\"\",2\n",
+	"crlf":           "a,b\r\n1,x\r\n2,y\r\n",
+	"utf8 bom":       "\xef\xbb\xbfa,b\n1,x\n",
+	"empty trailing": "a,b\n1,x\n\n\n",
+	"empty interior": "a,b\n1,x\n\n2,y\n\r\n3,z\n",
+	"leading empty":  "\n\na,b\n1,x\n",
+	"missing cells":  "a,b,c\n,2, \n1,,x\n , ,\n",
+	"bool column":    "flag,v\ntrue,1\nFALSE,2\nTrue,3\n",
+	"unicode":        "名前,v\n\"こん\nにちは\",1\né,2\n",
+	"single column":  "only\n1\n2\n\n3\n",
+	"header only":    "a,b,c\n",
+	"ragged short":   "a,b\n1\n",
+	"ragged long":    "a,b\n1,2,3\n",
+	"bare quote":     "a,b\n1,x\"y\n",
+	"stray cr tail":  "a\n1\n\r",
+	"empty":          "",
+	"blank lines":    "\n\n",
+	"spaces kind":    "a,b\n 1 , x \n 2 , y \n",
+	"all missing":    "a,b\n,\n,\n",
+	"numeric mix":    "a,b\n1,1\n2.5,2\nNaN,inf\n",
+}
+
 func TestIngestEdgeCaseGoldens(t *testing.T) {
-	goldens := map[string]string{
-		"plain":          "a,b,c\n1,2.5,x\n3,4.5,y\n",
-		"no trailing nl": "a,b\n1,x\n2,y",
-		"quoted newline": "a,b\n\"line1\nline2\",1\n\"more\r\nlines\",2\n",
-		"quoted comma":   "a,b\n\"x,y\",1\n\"\"\"quoted\"\"\",2\n",
-		"crlf":           "a,b\r\n1,x\r\n2,y\r\n",
-		"utf8 bom":       "\xef\xbb\xbfa,b\n1,x\n",
-		"empty trailing": "a,b\n1,x\n\n\n",
-		"empty interior": "a,b\n1,x\n\n2,y\n\r\n3,z\n",
-		"leading empty":  "\n\na,b\n1,x\n",
-		"missing cells":  "a,b,c\n,2, \n1,,x\n , ,\n",
-		"bool column":    "flag,v\ntrue,1\nFALSE,2\nTrue,3\n",
-		"unicode":        "名前,v\n\"こん\nにちは\",1\né,2\n",
-		"single column":  "only\n1\n2\n\n3\n",
-		"header only":    "a,b,c\n",
-		"ragged short":   "a,b\n1\n",
-		"ragged long":    "a,b\n1,2,3\n",
-		"bare quote":     "a,b\n1,x\"y\n",
-		"stray cr tail":  "a\n1\n\r",
-		"empty":          "",
-		"blank lines":    "\n\n",
-		"spaces kind":    "a,b\n 1 , x \n 2 , y \n",
-		"all missing":    "a,b\n,\n,\n",
-		"numeric mix":    "a,b\n1,1\n2.5,2\nNaN,inf\n",
-	}
-	for name, input := range goldens {
+	for name, input := range ingestGoldens {
 		requireIngestMatchesSerialAndLegacy(t, input, name)
 	}
 }
@@ -141,7 +143,7 @@ func TestIngestEdgeCaseGoldens(t *testing.T) {
 // bar) on inputs that parse.
 func requireIngestMatchesSerialAndLegacy(t *testing.T, input, label string) {
 	t.Helper()
-	requireIngestMatchesLegacy(t, input, label)
+	requireIngestMatchesLegacy(t, input, label, ingestGrid)
 	want, err := readCSVLegacy(strings.NewReader(input), "x")
 	if err != nil {
 		return
@@ -207,7 +209,7 @@ func TestIngestModeDemotions(t *testing.T) {
 		"string whole column": {"a,pad\n" + strings.Repeat("s,p\n", n), KindString},
 	}
 	for name, tc := range cases {
-		requireIngestMatchesLegacy(t, tc.input, name)
+		requireIngestMatchesLegacy(t, tc.input, name, ingestGrid)
 		got, err := ReadCSV(strings.NewReader(tc.input), "x")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

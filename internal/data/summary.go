@@ -1,101 +1,9 @@
 package data
 
 import (
-	"fmt"
 	"math"
 	"sort"
-	"sync/atomic"
 )
-
-// SummaryBackend selects how Column.Summary computes its statistics,
-// mirroring the training-backend convention (backend=exact|hist|auto).
-type SummaryBackend int
-
-const (
-	// SummaryDefault defers to the process-wide default backend
-	// (SetDefaultSummaryBackend; exact unless overridden).
-	SummaryDefault SummaryBackend = iota
-	// SummaryExact is the full-fidelity path: exact distinct sets and a
-	// sorted value copy for quantiles — bit-identical to the historical
-	// Summary behaviour.
-	SummaryExact
-	// SummarySketch is the mergeable one-pass path: moments, a
-	// fixed-size quantile sketch, and an exact-until-cap distinct sketch.
-	// No sorted column copy is built or retained.
-	SummarySketch
-	// SummaryAuto picks SummarySketch for columns with at least
-	// SketchAutoRows rows and SummaryExact below.
-	SummaryAuto
-)
-
-// String returns the backend name as used by flags ("exact", "sketch",
-// "auto"; the zero value renders as "default").
-func (b SummaryBackend) String() string {
-	switch b {
-	case SummaryExact:
-		return "exact"
-	case SummarySketch:
-		return "sketch"
-	case SummaryAuto:
-		return "auto"
-	default:
-		return "default"
-	}
-}
-
-// ParseSummaryBackend parses a -summary-backend flag value.
-func ParseSummaryBackend(s string) (SummaryBackend, error) {
-	switch s {
-	case "", "default":
-		return SummaryDefault, nil
-	case "exact":
-		return SummaryExact, nil
-	case "sketch":
-		return SummarySketch, nil
-	case "auto":
-		return SummaryAuto, nil
-	default:
-		return SummaryDefault, fmt.Errorf("data: unknown summary backend %q (want exact|sketch|auto)", s)
-	}
-}
-
-// defaultSummaryBackend is the process-wide backend Summary() resolves
-// SummaryDefault to. Exact by default so existing behaviour is unchanged
-// unless a caller (e.g. the -summary-backend CLI flag) opts in.
-var defaultSummaryBackend atomic.Int32
-
-// SetDefaultSummaryBackend installs the process-wide default backend
-// (SummaryDefault restores exact). Safe for concurrent use, but callers
-// should set it once at startup: cached summaries and profiles are keyed
-// by the backend that computed them, not by later default flips.
-func SetDefaultSummaryBackend(b SummaryBackend) { defaultSummaryBackend.Store(int32(b)) }
-
-// DefaultSummaryBackend returns the current process-wide default.
-func DefaultSummaryBackend() SummaryBackend {
-	b := SummaryBackend(defaultSummaryBackend.Load())
-	if b == SummaryDefault {
-		return SummaryExact
-	}
-	return b
-}
-
-// resolveBackend maps a requested backend to the concrete one (exact or
-// sketch) for a column of n rows.
-func resolveBackend(b SummaryBackend, n int) SummaryBackend {
-	if b == SummaryDefault {
-		b = DefaultSummaryBackend()
-	}
-	if b == SummaryAuto {
-		if n >= SketchAutoRows {
-			return SummarySketch
-		}
-		return SummaryExact
-	}
-	if b != SummarySketch {
-		return SummaryExact
-	}
-	return b
-}
 
 // Summary is the memoized one-pass statistics bundle of a column: the
 // missing-cell count, the sorted distinct value set, and (for numeric
@@ -118,28 +26,13 @@ type Summary struct {
 	Distinct []string
 	// Stats summarizes the numeric values (zero for string columns).
 	Stats Stats
-	// Approx marks a sketch-backend summary: quantiles come from a
-	// fixed-size sketch (within the documented rank-error bound) and the
-	// distinct set is exact only up to distinctTrackLimit values. Exact
-	// summaries always have Approx false.
-	Approx bool
 
 	distinctSet map[string]struct{}
-	sortedNums  []float64       // ascending non-missing values, exact numeric only
-	qsketch     *QuantileSketch // quantile source when sortedNums is released
-	dsketch     *DistinctSketch // distinct estimate once the exact set overflowed
+	sortedNums  []float64 // ascending non-missing values, numeric only
 }
 
-// DistinctCount returns the number of distinct non-missing values. Under
-// the sketch backend the count is a KMV estimate once the column exceeds
-// distinctTrackLimit distinct values; below that (and always under the
-// exact backend) it is exact.
-func (s *Summary) DistinctCount() int {
-	if s.dsketch != nil {
-		return s.dsketch.Estimate()
-	}
-	return len(s.Distinct)
-}
+// DistinctCount returns the number of distinct non-missing values.
+func (s *Summary) DistinctCount() int { return len(s.Distinct) }
 
 // Present returns the number of non-missing cells.
 func (s *Summary) Present() int { return s.Rows - s.Missing }
@@ -152,13 +45,8 @@ func (s *Summary) Contains(v string) bool {
 
 // Quantile interpolates the q-quantile of the non-missing numeric values,
 // or NaN for string/empty columns (same contract as Column.Quantile).
-// Sketch summaries answer from the retained quantile sketch instead of a
-// sorted copy.
 func (s *Summary) Quantile(q float64) float64 {
 	if len(s.sortedNums) == 0 {
-		if s.qsketch != nil {
-			return s.qsketch.Quantile(q)
-		}
 		return math.NaN()
 	}
 	if q <= 0 {
@@ -183,37 +71,22 @@ type summaryEntry struct {
 	sum     *Summary
 }
 
-// Summary returns the cached one-pass statistics of the column under the
-// process-wide default backend, computing them if the column mutated
-// since the last call. Invalidation is automatic: every mutating accessor
-// (SetNum, SetStr, SetMissing, ClearMissing, the Append* family) bumps
-// the version this cache is keyed on — there is no manual Touch()
-// contract anymore. Concurrent readers are safe (each backend's cache is
-// a single atomic pointer; racing computations produce identical
-// summaries and the last store wins). Mutations must not run concurrently
-// with readers — the same rule that governs all column access.
-func (c *Column) Summary() *Summary { return c.SummaryWith(SummaryDefault) }
-
-// SummaryWith is Summary under an explicit backend. Exact and sketch
-// summaries are cached independently per mutation generation, so a
-// profiler running the sketch backend never evicts (or is polluted by)
-// the exact summaries pipeline operators rely on.
-func (c *Column) SummaryWith(b SummaryBackend) *Summary {
-	slot := &c.cache
-	if resolveBackend(b, c.Len()) == SummarySketch {
-		slot = &c.cacheSketch
-	}
+// Summary returns the cached one-pass statistics of the column,
+// computing them if the column mutated since the last call. Invalidation
+// is automatic: every mutating accessor (SetNum, SetStr, SetMissing,
+// ClearMissing, the Append* family) bumps the version this cache is keyed
+// on — there is no manual Touch() contract anymore. Concurrent readers are
+// safe (the cache is a single atomic pointer; racing computations produce
+// identical summaries and the last store wins). Mutations must not run
+// concurrently with readers — the same rule that governs all column
+// access.
+func (c *Column) Summary() *Summary {
 	v := c.version.Load()
-	if e := slot.Load(); e != nil && e.version == v && e.rows == c.Len() && e.kind == c.Kind {
+	if e := c.cache.Load(); e != nil && e.version == v && e.rows == c.Len() && e.kind == c.Kind {
 		return e.sum
 	}
-	var sum *Summary
-	if slot == &c.cacheSketch {
-		sum = c.computeSummarySketch()
-	} else {
-		sum = c.computeSummary()
-	}
-	slot.Store(&summaryEntry{version: v, rows: c.Len(), kind: c.Kind, sum: sum})
+	sum := c.computeSummary()
+	c.cache.Store(&summaryEntry{version: v, rows: c.Len(), kind: c.Kind, sum: sum})
 	return sum
 }
 

@@ -91,15 +91,25 @@ func NewHandler(opts Options) http.Handler {
 			http.Error(w, "run ledger not enabled", http.StatusNotFound)
 			return
 		}
+		// last=N keeps the N newest records (all of them when N exceeds
+		// the ledger). Anything but a non-negative int, empty included, is
+		// a 400: never a silent full dump.
+		last := -1
+		if q := r.URL.Query(); q.Has("last") {
+			n, err := strconv.Atoi(q.Get("last"))
+			if err != nil || n < 0 {
+				http.Error(w, fmt.Sprintf("last must be a non-negative integer, got %q", q.Get("last")), http.StatusBadRequest)
+				return
+			}
+			last = n
+		}
 		records, err := ledger.ReadFile(opts.LedgerPath)
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		if s := r.URL.Query().Get("last"); s != "" {
-			if n, err := strconv.Atoi(s); err == nil && n >= 0 && n < len(records) {
-				records = records[len(records)-n:]
-			}
+		if last >= 0 && last < len(records) {
+			records = records[len(records)-last:]
 		}
 		if records == nil {
 			records = []ledger.Record{}

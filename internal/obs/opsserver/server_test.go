@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -143,6 +146,72 @@ func TestServerEndpoints(t *testing.T) {
 
 	if code, _ := get(t, base+"/debug/pprof/"); code != 200 {
 		t.Errorf("/debug/pprof/ code=%d", code)
+	}
+}
+
+// /api/runs?last=N is untrusted input: every value that is not a
+// non-negative int must be a 400, never a silent full dump; valid values
+// keep the N newest records, all of them when N exceeds the ledger.
+func TestRunsLastHostileValues(t *testing.T) {
+	ledgerPath := filepath.Join(t.TempDir(), "runs.jsonl")
+	lw, err := ledger.OpenWriter(ledgerPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := lw.Append(ledger.Record{Dataset: "CMC", Seed: int64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := lw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	h := NewHandler(Options{LedgerPath: ledgerPath})
+
+	for _, tc := range []struct {
+		query string
+		code  int
+		seeds []int64 // returned records' seeds, for 200s
+	}{
+		{"", 200, []int64{0, 1, 2}},
+		{"?last=-1", 400, nil},
+		{"?last=abc", 400, nil},
+		{"?last=1.5", 400, nil},
+		{"?last=99999999999999999999", 400, nil},
+		{"?last=", 400, nil},
+		{"?last=%201", 400, nil},
+		{"?last=0", 200, []int64{}},
+		{"?last=1", 200, []int64{2}},
+		{"?last=2", 200, []int64{1, 2}},
+		{"?last=3", 200, []int64{0, 1, 2}},
+		{"?last=" + strconv.Itoa(math.MaxInt), 200, []int64{0, 1, 2}},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/api/runs"+tc.query, nil))
+		if rec.Code != tc.code {
+			t.Errorf("%q: code=%d, want %d (body %q)", tc.query, rec.Code, tc.code, rec.Body.String())
+			continue
+		}
+		if tc.code != 200 {
+			if !strings.Contains(rec.Body.String(), "last must be a non-negative integer") {
+				t.Errorf("%q: 400 body %q does not explain the rejection", tc.query, rec.Body.String())
+			}
+			continue
+		}
+		var records []ledger.Record
+		if err := json.Unmarshal(rec.Body.Bytes(), &records); err != nil {
+			t.Fatalf("%q: not JSON: %v\n%s", tc.query, err, rec.Body.String())
+		}
+		if records == nil {
+			t.Errorf("%q: got null, want a JSON array", tc.query)
+		}
+		seeds := make([]int64, len(records))
+		for i, r := range records {
+			seeds[i] = r.Seed
+		}
+		if fmt.Sprint(seeds) != fmt.Sprint(tc.seeds) {
+			t.Errorf("%q: seeds %v, want %v", tc.query, seeds, tc.seeds)
+		}
 	}
 }
 

@@ -134,12 +134,6 @@ type Options struct {
 	// (Seed, column index, column name), so the profile is bit-identical
 	// at any worker count.
 	Seed int64
-	// SummaryBackend selects how column statistics are computed
-	// (exact | sketch | auto, data.ParseSummaryBackend). The sketch
-	// backend answers quantiles from a mergeable fixed-size sketch and
-	// never materializes per-column sorted copies — the paper-scale
-	// profiling path. Zero value defers to the process default (exact).
-	SummaryBackend data.SummaryBackend
 }
 
 func (o Options) withDefaults() Options {
@@ -185,8 +179,8 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	sums := make([]*data.Summary, m)
 	workSums := make([]*data.Summary, m)
 	if err := pool.Each(m, func(i int) error {
-		sums[i] = t.Cols[i].SummaryWith(opts.SummaryBackend)
-		workSums[i] = work.Cols[i].SummaryWith(opts.SummaryBackend)
+		sums[i] = t.Cols[i].Summary()
+		workSums[i] = work.Cols[i].Summary()
 		vecs[i] = embed.Column(work.Cols[i])
 		return nil
 	}); err != nil {
@@ -197,18 +191,13 @@ func Table(t *data.Table, target string, task data.Task, opts Options) (*Profile
 	cols, err := pool.Map(m, func(ci int) (*ColumnProfile, error) {
 		c := t.Cols[ci]
 		sum := sums[ci]
-		// All ratio/count fields come from the warmed backend summary, not
-		// the Column convenience methods: those recompute a default-backend
-		// (exact) summary, which would defeat the sketch path's point of
-		// never building sorted copies. Same float expressions, so the
-		// exact backend stays bit-identical.
 		cp := &ColumnProfile{
 			Name:            c.Name,
 			DataType:        c.Kind,
-			DistinctPct:     distinctRatio(sum) * 100,
-			MissingPct:      missingRatio(sum) * 100,
+			DistinctPct:     c.DistinctRatio() * 100,
+			MissingPct:      c.MissingRatio() * 100,
 			DistinctCount:   sum.DistinctCount(),
-			NonNullFraction: 1 - missingRatio(sum),
+			NonNullFraction: 1 - c.MissingRatio(),
 			IsTarget:        c.Name == target,
 		}
 		cp.FeatureType = guessFeatureType(c, sum, opts)
@@ -284,32 +273,13 @@ func Dataset(ds *data.Dataset, opts Options) (*Profile, error) {
 	return p, nil
 }
 
-// distinctRatio and missingRatio mirror Column.DistinctRatio and
-// Column.MissingRatio over an already-computed summary (same expressions,
-// so results are bit-identical under the exact backend) without forcing a
-// default-backend summary build.
-func distinctRatio(s *data.Summary) float64 {
-	n := s.Present()
-	if n == 0 {
-		return 0
-	}
-	return float64(s.DistinctCount()) / float64(n)
-}
-
-func missingRatio(s *data.Summary) float64 {
-	if s.Rows == 0 {
-		return 0
-	}
-	return float64(s.Rows-s.Present()) / float64(s.Rows)
-}
-
 func isDiscrete(s *data.Summary, opts Options) bool {
 	return s.DistinctCount() <= opts.CategoricalMaxDistinct*4
 }
 
 // guessFeatureType is the profiler's pre-LLM heuristic (the catalog's LLM
 // pass can overturn it, e.g. sentence → categorical). It reads all counts
-// from the provided backend summary.
+// from the column's memoized summary.
 func guessFeatureType(c *data.Column, sum *data.Summary, opts Options) FeatureType {
 	if sum.DistinctCount() == 1 && sum.Present() > 0 {
 		return FeatureConstant
@@ -318,7 +288,7 @@ func guessFeatureType(c *data.Column, sum *data.Summary, opts Options) FeatureTy
 	case data.KindBool:
 		return FeatureBoolean
 	case data.KindInt:
-		if distinctRatio(sum) > 0.98 && sum.DistinctCount() > 50 {
+		if c.DistinctRatio() > 0.98 && sum.DistinctCount() > 50 {
 			return FeatureID
 		}
 		if sum.DistinctCount() <= 12 {
@@ -356,7 +326,7 @@ func guessFeatureType(c *data.Column, sum *data.Summary, opts Options) FeatureTy
 	if float64(multiWord)/float64(n) > 0.3 {
 		return FeatureSentence
 	}
-	if distinctRatio(sum) > 0.98 {
+	if c.DistinctRatio() > 0.98 {
 		return FeatureID
 	}
 	return FeatureSentence
