@@ -141,15 +141,17 @@ lint-fmt:
 		exit 1; \
 	fi
 
-# Fitted-pipeline artifacts and CSV data are untrusted input: fuzz
-# LoadFittedPipeline followed by Predict, and ReadCSV against the legacy
-# reader, each for a short fixed time on top of its seed corpus (plain go
+# Fitted-pipeline artifacts, CSV data and generated PipeScript are
+# untrusted input: fuzz LoadFittedPipeline followed by Predict, ReadCSV
+# against the legacy reader, and Parse → Analyze → Execute, each for a
+# short fixed time on top of its seed corpus (plain go
 # test runs the seeds alone). A crasher lands in the package's
 # testdata/fuzz/ and is committed as a regression seed. Minimizing a new
 # interesting input may otherwise take the whole budget, so it is capped.
 fuzz:
 	$(GO) test -run='^$$' -fuzz='^FuzzLoadFittedPipeline$$' -fuzztime=10s ./internal/pipescript/
 	$(GO) test -run='^$$' -fuzz='^FuzzReadCSV$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/data/
+	$(GO) test -run='^$$' -fuzz='^FuzzPipeScript$$' -fuzztime=10s -fuzzminimizetime=2s ./internal/pipescript/
 
 verify: build vet lint-fmt lint-encapsulation lint-obs lint-transform lint-optable lint-opbody lint-http lint-knobs test race fuzz
 

@@ -255,6 +255,7 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 
 	gstart := obs.Now()
 	source := ""
+	validated := false
 	for _, pr := range prompts {
 		// Chain intermediate steps (preprocessing / feature engineering)
 		// legitimately have no train statement yet.
@@ -262,17 +263,24 @@ func (r *Runner) Run(ds *data.Dataset, opts Options) (*Result, error) {
 		pr = prompt.WithCode(pr, source)
 		gsp := root.Child("generate")
 		gsp.SetStr("kind", string(pr.Kind))
-		src, err := r.generateAndFix(pr, in, cfg, opts, vTrain, vTest, ds, allowNoTrain, res, gsp)
+		src, ok, err := r.generateAndFix(pr, in, cfg, opts, vTrain, vTest, ds, allowNoTrain, res, gsp)
 		gsp.End()
 		if err != nil {
 			return nil, err
 		}
-		source = src
+		source, validated = src, ok
 	}
-	// Validate the complete program strictly (a train statement is now
-	// mandatory).
+	// The complete program must have passed a strict (train-required)
+	// validation. The last prompt is always strict, so its debug loop
+	// already executed the returned source on the validation sample with
+	// the same executor settings; re-running it would repeat the model
+	// fit for nothing. Only the handcrafted fallback, which the loop
+	// returns unexecuted, is validated here.
 	vsp := root.Child("final-validate")
-	source, err = r.finalValidate(source, in, cfg, opts, vTrain, vTest, ds, res, vsp)
+	vsp.SetBool("reused", validated)
+	if !validated {
+		source, err = r.finalValidate(source, in, cfg, opts, vTrain, vTest, ds, res, vsp)
+	}
 	vsp.End()
 	if err != nil {
 		return nil, err
@@ -389,13 +397,14 @@ func topClassShare(t *data.Table, target string, task data.Task) float64 {
 }
 
 // generateAndFix submits one prompt and runs the τ₂-bounded debug loop of
-// Algorithm 4 against the validation sample.
+// Algorithm 4 against the validation sample. Like debugLoop, it reports
+// whether the returned source passed a strict validation.
 func (r *Runner) generateAndFix(pr prompt.Prompt, in prompt.Input, cfg prompt.Config, opts Options,
-	vTrain, vTest *data.Table, ds *data.Dataset, allowNoTrain bool, res *Result, sp *obs.Span) (string, error) {
+	vTrain, vTest *data.Table, ds *data.Dataset, allowNoTrain bool, res *Result, sp *obs.Span) (string, bool, error) {
 
 	resp, err := r.Client.Complete(pr.Text)
 	if err != nil {
-		return "", fmt.Errorf("core: llm: %w", err)
+		return "", false, fmt.Errorf("core: llm: %w", err)
 	}
 	res.Cost.PromptTokens += resp.Usage.PromptTokens
 	res.Cost.CompletionTokens += resp.Usage.CompletionTokens
@@ -441,19 +450,24 @@ func staticRepair(source string, in prompt.Input, task data.Task) string {
 	return fixed
 }
 
-// finalValidate runs the strict (train-required) validation over the
-// assembled program, continuing the debug loop if needed.
+// finalValidate runs the strict (train-required) validation over a
+// program no strict loop has executed yet (the handcrafted fallback),
+// continuing the debug loop if needed.
 func (r *Runner) finalValidate(source string, in prompt.Input, cfg prompt.Config, opts Options,
 	vTrain, vTest *data.Table, ds *data.Dataset, res *Result, sp *obs.Span) (string, error) {
 
 	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics}
-	return r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
+	source, _, err := r.debugLoop(source, in, cfg, opts, ex, vTrain, vTest, ds, res, sp)
+	return source, err
 }
 
-// debugLoop is the shared fix loop used by finalValidate and the
-// full-data resume path.
+// debugLoop is the shared fix loop of every prompt, finalValidate and the
+// full-data resume path. Besides the source it returns whether that
+// source ran successfully under a strict executor (AllowNoTrain unset);
+// the handcrafted fallback it returns once the budget runs out has not
+// run at all, so it reports false.
 func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, opts Options,
-	ex *pipescript.Executor, train, test *data.Table, ds *data.Dataset, res *Result, parent *obs.Span) (string, error) {
+	ex *pipescript.Executor, train, test *data.Table, ds *data.Dataset, res *Result, parent *obs.Span) (string, bool, error) {
 
 	var lastFixBy string
 	var lastCls errkb.Classified
@@ -485,7 +499,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 			if lastFixBy == "llm" && r.KB != nil {
 				r.KB.LearnFromFix(preFixSource, source, lastCls)
 			}
-			return source, nil
+			return source, !ex.AllowNoTrain, nil
 		}
 		res.Cost.Attempts++
 		cls := errkb.Classify(execErr)
@@ -521,7 +535,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 			fresp, ferr := r.Client.Complete(ep.Text)
 			if ferr != nil {
 				asp.End()
-				return "", fmt.Errorf("core: llm error fix: %w", ferr)
+				return "", false, fmt.Errorf("core: llm error fix: %w", ferr)
 			}
 			res.Cost.ErrorPromptTokens += fresp.Usage.PromptTokens
 			res.Cost.ErrorCompletionTokens += fresp.Usage.CompletionTokens
@@ -553,7 +567,7 @@ func (r *Runner) debugLoop(source string, in prompt.Input, cfg prompt.Config, op
 	if r.Metrics != nil {
 		r.Metrics.Counter("catdb_handcrafted_total").Inc()
 	}
-	return HandcraftPipeline(in), nil
+	return HandcraftPipeline(in), false, nil
 }
 
 // resumeOnFullData continues error correction when the validated pipeline
@@ -568,7 +582,7 @@ func (r *Runner) resumeOnFullData(source string, firstErr error, in prompt.Input
 	defer sp.End()
 	ex := &pipescript.Executor{Target: ds.Target, Task: ds.Task, Seed: opts.Seed, Policy: opts.Policy, Metrics: r.Metrics, Span: sp}
 	dstart := obs.Now()
-	fixed, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
+	fixed, _, err := r.debugLoop(source, in, cfg, opts, ex, train, test, ds, res, sp)
 	genDur := obs.Since(dstart)
 	if err != nil {
 		return "", nil, genDur, err

@@ -207,3 +207,51 @@ func TestDebugLoopTraceFixedSemantics(t *testing.T) {
 		t.Fatalf("all %d traces marked fixed — Fixed is not being derived from outcomes", fixed)
 	}
 }
+
+// TestTracedRunRecordsFitSpan checks the model-fit span: the final
+// exec's train statement parents one "fit" span naming the model, the
+// training rows and features, and the split backend the fit resolved.
+func TestTracedRunRecordsFitSpan(t *testing.T) {
+	ds := loadDS(t, "Wifi", 0.5)
+	c, err := llm.New("gemini-1.5-pro", 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := NewRunner(c)
+	r.Tracer = obs.New()
+	res, err := r.Run(ds, Options{Seed: 12, NoRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := r.Tracer.Snapshot()
+	byID := map[int]obs.SpanData{}
+	for _, s := range spans {
+		byID[s.ID] = s
+	}
+	fits := 0
+	for _, s := range spans {
+		if s.Name != "fit" {
+			continue
+		}
+		stmt := byID[s.Parent]
+		if op, _ := stmt.Attrs["op"].(string); stmt.Name != "stmt" || op != "train" || byID[stmt.Parent].Name != "exec" {
+			continue
+		}
+		fits++
+		if model, _ := s.Attrs["model"].(string); model != res.Exec.ModelName {
+			t.Errorf("fit model %q, want %q", model, res.Exec.ModelName)
+		}
+		if rows, _ := s.Attrs["rows"].(int64); rows != int64(res.Exec.TrainRows) {
+			t.Errorf("fit rows %d, want %d", rows, res.Exec.TrainRows)
+		}
+		if feats, _ := s.Attrs["features"].(int64); feats != int64(res.Exec.Features) {
+			t.Errorf("fit features %d, want %d", feats, res.Exec.Features)
+		}
+		if b, _ := s.Attrs["backend"].(string); b != "exact" && b != "hist" {
+			t.Errorf("fit backend %q, want exact or hist", b)
+		}
+	}
+	if fits != 1 {
+		t.Fatalf("%d fit spans under exec's train statement, want 1", fits)
+	}
+}

@@ -136,18 +136,38 @@ func (bm *BinnedMatrix) Bins(f int) int { return bm.bins[f] }
 // paying the one-time binning pass.
 const autoHistMinRows = 512
 
+// ResolveBackend is the one auto rule: it returns the split backend a
+// tree fit over rows training rows runs, BackendExact or BackendHist.
+// Auto picks the histogram backend at autoHistMinRows rows and up. Fits
+// call it to decide whether to bin, and the pipescript fit span calls it
+// to report the backend a fit used.
+func ResolveBackend(b Backend, rows int) Backend {
+	switch b {
+	case BackendExact, BackendHist:
+		return b
+	}
+	if rows >= autoHistMinRows {
+		return BackendHist
+	}
+	return BackendExact
+}
+
+// String returns the backend's backend= option value.
+func (b Backend) String() string {
+	switch b {
+	case BackendExact:
+		return "exact"
+	case BackendHist:
+		return "hist"
+	}
+	return "auto"
+}
+
 // sharedBinned resolves an ensemble-level backend choice into a shared
 // binned matrix (nil means every tree uses the exact path).
 func sharedBinned(X [][]float64, backend Backend, maxBins, n int) *BinnedMatrix {
-	switch backend {
-	case BackendExact:
-		return nil
-	case BackendHist:
+	if ResolveBackend(backend, n) == BackendHist {
 		return NewBinnedMatrix(X, maxBins)
-	default:
-		if n >= autoHistMinRows {
-			return NewBinnedMatrix(X, maxBins)
-		}
-		return nil
 	}
+	return nil
 }

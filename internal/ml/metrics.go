@@ -2,7 +2,7 @@ package ml
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Accuracy returns the fraction of exact matches between two label slices.
@@ -54,7 +54,7 @@ func BinaryAUC(score []float64, truth []int) float64 {
 	if pos == 0 || neg == 0 {
 		return 0.5
 	}
-	sort.Slice(ps, func(a, b int) bool { return ps[a].s < ps[b].s })
+	slices.SortFunc(ps, func(a, b pair) int { return cmpLess(a.s, b.s) })
 	// Rank-sum (Mann-Whitney U) with tie handling via average ranks.
 	ranks := make([]float64, len(ps))
 	for i := 0; i < len(ps); {

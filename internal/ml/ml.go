@@ -91,3 +91,17 @@ func forChunks(n int, fn func(lo, hi int)) {
 		return nil
 	})
 }
+
+// cmpLess is a slices.SortFunc comparator that is negative exactly when
+// a < b, so the sort visits the same permutation as a less-function sort
+// over <. Unlike cmp.Compare it does not order NaN first: a NaN compares
+// equal to everything, as it does under <.
+func cmpLess(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case b < a:
+		return 1
+	}
+	return 0
+}

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Backend selects how a tree finds splits.
@@ -154,13 +154,8 @@ func (t *Tree) fitRows(bm *BinnedMatrix, X [][]float64, yf []float64, classes in
 		return fmt.Errorf("ml: no training rows")
 	}
 	if bm == nil {
-		switch t.Config.Backend {
-		case BackendHist:
+		if ResolveBackend(t.Config.Backend, len(rows)) == BackendHist {
 			bm = NewBinnedMatrix(X, t.Config.MaxBins)
-		case BackendAuto:
-			if len(rows) >= autoHistMinRows {
-				bm = NewBinnedMatrix(X, t.Config.MaxBins)
-			}
 		}
 	} else if t.Config.Backend == BackendExact {
 		bm = nil
@@ -272,7 +267,9 @@ func (t *Tree) bestSplit(X [][]float64, y []float64, idx []int, rng *rand.Rand) 
 		for i, r := range idx {
 			arr[i] = vy{X[r][f], y[r]}
 		}
-		sort.Slice(arr, func(a, b int) bool { return arr[a].v < arr[b].v })
+		// Ties must keep the order of a plain a.v < b.v pdqsort: they
+		// fix the summation order of the regression prefix sums below.
+		slices.SortFunc(arr, func(a, b vy) int { return cmpLess(a.v, b.v) })
 		if arr[0].v == arr[n-1].v {
 			continue // constant feature in this node
 		}

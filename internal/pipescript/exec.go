@@ -116,7 +116,7 @@ func (e *Executor) execute(p *Program, train, test *data.Table) (*Result, error)
 		sp := e.Span.Child("stmt")
 		sp.SetStr("op", st.Op)
 		sp.SetInt("line", int64(st.Line))
-		err := e.execStmt(st, tr, te, maxOH, res, &trained)
+		err := e.execStmt(st, tr, te, maxOH, res, &trained, sp)
 		sp.End()
 		if err != nil {
 			return nil, err
@@ -140,7 +140,7 @@ func lastLine(p *Program) int {
 
 // execStmt dispatches one statement through the registered op table
 // (optable.go). Every side effect applies to tr/te immediately.
-func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool) error {
+func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result, trained *bool, sp *obs.Span) error {
 	if err := e.policyCheck(st); err != nil {
 		return err
 	}
@@ -149,7 +149,7 @@ func (e *Executor) execStmt(st Stmt, tr, te *data.Table, maxOH int, res *Result,
 		// Parse guarantees registered ops; this is unreachable by construction.
 		return rtErr(st.Line, ErrBadOption, "unhandled statement %q", st.Op)
 	}
-	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained})
+	return spec.exec(e, st, &execCtx{e: e, tr: tr, te: te, maxOH: maxOH, res: res, trained: trained, span: sp})
 }
 
 // requireCol resolves a column reference in a core statement.
@@ -519,7 +519,7 @@ func (e *Executor) execSelectTopK(st Stmt, c *execCtx) error {
 }
 
 func (e *Executor) execTrain(st Stmt, c *execCtx) error {
-	if err := e.train(st, c.tr, c.te, c.res); err != nil {
+	if err := e.train(st, c.tr, c.te, c.res, c.span); err != nil {
 		return err
 	}
 	*c.trained = true
@@ -612,9 +612,9 @@ func abs(x float64) float64 {
 	return x
 }
 
-// train builds feature matrices, fits the requested model, and fills in
-// the result metrics.
-func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
+// train builds feature matrices, fits the requested model under a "fit"
+// child of the statement span sp, and fills in the result metrics.
+func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result, sp *obs.Span) error {
 	target := st.Opt("target", e.Target)
 	tcol := tr.Col(target)
 	if tcol == nil {
@@ -669,7 +669,10 @@ func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
 		if err != nil {
 			return err
 		}
-		if err := clf.FitClass(Xtr, ytr, classes); err != nil {
+		fsp := fitSpan(sp, modelName, len(Xtr), len(featNames), clf)
+		err = clf.FitClass(Xtr, ytr, classes)
+		fsp.End()
+		if err != nil {
 			if errors.Is(err, ml.ErrOutOfMemory) {
 				return rtErr(st.Line, ErrModelOOM, "model %q: %v", modelName, err)
 			}
@@ -734,7 +737,10 @@ func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
 	if err != nil {
 		return err
 	}
-	if err := reg.Fit(Xtr, ytr); err != nil {
+	fsp := fitSpan(sp, modelName, len(Xtr), len(featNames), reg)
+	err = reg.Fit(Xtr, ytr)
+	fsp.End()
+	if err != nil {
 		if errors.Is(err, ml.ErrOutOfMemory) {
 			return rtErr(st.Line, ErrModelOOM, "model %q: %v", modelName, err)
 		}
@@ -765,6 +771,35 @@ func (e *Executor) train(st Stmt, tr, te *data.Table, res *Result) error {
 		}
 	}
 	return nil
+}
+
+// fitSpan opens the "fit" span of one model fit under the train
+// statement's span: model name, training rows and features, and for the
+// tree models the split backend the fit resolves to (ml.ResolveBackend,
+// the rule the fit itself applies). A nil parent records nothing.
+func fitSpan(parent *obs.Span, model string, rows, features int, m any) *obs.Span {
+	if parent == nil {
+		return nil
+	}
+	sp := parent.Child("fit")
+	sp.SetStr("model", model)
+	sp.SetInt("rows", int64(rows))
+	sp.SetInt("features", int64(features))
+	var backend ml.Backend
+	switch t := m.(type) {
+	case *ml.Tree:
+		backend = t.Config.Backend
+	case *ml.Forest:
+		backend = t.Config.Backend
+	case *ml.ExtraTrees:
+		backend = t.Config.Backend
+	case *ml.GBM:
+		backend = t.Config.Backend
+	default:
+		return sp
+	}
+	sp.SetStr("backend", ml.ResolveBackend(backend, rows).String())
+	return sp
 }
 
 // recordModel exports the trained model and train-time schema into the

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"catdb/internal/data"
+	"catdb/internal/obs"
 )
 
 // messyTable builds a classification table with missing values, a dirty
@@ -470,5 +471,58 @@ func TestDirtyTargetHurtsAccuracy(t *testing.T) {
 	if resClean.TestAcc <= resDirty.TestAcc+10 {
 		t.Fatalf("dedup target should lift accuracy substantially: dirty=%g clean=%g",
 			resDirty.TestAcc, resClean.TestAcc)
+	}
+}
+
+// TestFitSpanReportsResolvedBackend checks the fit span under a traced
+// train statement: it names the model, rows and features, and reports
+// the split backend the fit resolves to — auto turns into hist at 512
+// training rows and up, an explicit backend= is reported as given, and
+// non-tree models carry no backend.
+func TestFitSpanReportsResolvedBackend(t *testing.T) {
+	big, _ := split(messyTable(800, 2), 3)
+	small, _ := split(messyTable(300, 2), 3)
+	cases := []struct {
+		tr      *data.Table
+		train   string
+		backend string // "" = no backend attribute
+	}{
+		{big, `train model=random_forest target="y" trees=3`, "hist"},
+		{small, `train model=random_forest target="y" trees=3`, "exact"},
+		{big, `train model=gbm target="y" rounds=3 backend=exact`, "exact"},
+		{small, `train model=decision_tree target="y" backend=hist`, "hist"},
+		{big, `train model=logistic_regression target="y"`, ""},
+	}
+	for _, tc := range cases {
+		p := mustParse(t, "pipeline \"fit\"\nimpute \"num\" strategy=median\nonehot \"cat\"\ndrop \"lst\"\n"+tc.train+"\n")
+		tracer := obs.New()
+		ex := &Executor{Target: "y", Task: data.Multiclass, Seed: 1, Span: tracer.Root("exec")}
+		res, err := ex.Execute(p, tc.tr, tc.tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spans := tracer.Snapshot()
+		byID := map[int]obs.SpanData{}
+		var fits []obs.SpanData
+		for _, s := range spans {
+			byID[s.ID] = s
+			if s.Name == "fit" {
+				fits = append(fits, s)
+			}
+		}
+		if len(fits) != 1 {
+			t.Fatalf("%s: %d fit spans, want 1", tc.train, len(fits))
+		}
+		fit := fits[0]
+		if op, _ := byID[fit.Parent].Attrs["op"].(string); op != "train" {
+			t.Fatalf("%s: fit span parent op %q, want train", tc.train, op)
+		}
+		if fit.Attrs["model"] != res.ModelName || fit.Attrs["rows"] != int64(res.TrainRows) || fit.Attrs["features"] != int64(res.Features) {
+			t.Fatalf("%s: fit attrs %v, want model %s rows %d features %d", tc.train, fit.Attrs, res.ModelName, res.TrainRows, res.Features)
+		}
+		got, has := fit.Attrs["backend"].(string)
+		if tc.backend == "" && has || tc.backend != "" && got != tc.backend {
+			t.Fatalf("%s on %d rows: backend %q, want %q", tc.train, res.TrainRows, got, tc.backend)
+		}
 	}
 }

@@ -22,7 +22,7 @@ var linearWorkerCounts = []int{1, 2, 4, 8}
 
 // execBothWays runs the program untraced on one worker, then traced at
 // every worker count, and requires bit-identical results and errors
-// plus one stmt span per executed statement.
+// plus one stmt span per executed statement and one fit span per train.
 func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, task data.Task) (*Result, error) {
 	t.Helper()
 	p := mustParse(t, src)
@@ -46,8 +46,15 @@ func execBothWays(t *testing.T, src string, tr, te *data.Table, target string, t
 			}
 			continue
 		}
-		if got, want := tracer.Len(), 1+len(p.Stmts); got != want {
-			t.Fatalf("workers=%d: %d spans, want exec + %d stmt", w, got, len(p.Stmts))
+		// exec, one stmt per statement, and one fit under each train.
+		want := 1 + len(p.Stmts)
+		for _, st := range p.Stmts {
+			if st.Op == "train" {
+				want++
+			}
+		}
+		if got := tracer.Len(); got != want {
+			t.Fatalf("workers=%d: %d spans, want exec + %d stmt + one fit per train (%d)", w, got, len(p.Stmts), want)
 		}
 		a, b := *wantRes, *gotRes
 		a.Program, b.Program = nil, nil

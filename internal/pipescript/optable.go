@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"catdb/internal/data"
+	"catdb/internal/obs"
 )
 
 // This file is the single source of op knowledge: every PipeScript
@@ -108,6 +109,7 @@ type execCtx struct {
 	maxOH   int
 	res     *Result
 	trained *bool
+	span    *obs.Span // the statement's span (nil when untraced)
 }
 
 // apply records a fitted step and applies it to the test table. code
